@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .minimal import KacLabel, MinimalModel
-from .series import FracSeries, euler_product, monomial, weighted_theta
+from .series import FracSeries, _ceil, euler_product, monomial, weighted_theta
 
 __all__ = [
     "OspLabel",
@@ -166,7 +166,8 @@ def _assemble(theta, euler_parts, eta_den, order, target):
         out = out * euler_product(sign, e, n)
     span = out.order - out.lowest
     out = out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
-    assert out.order_exponent > target, "internal truncation bookkeeping error"
+    if out.order_exponent <= target:
+        raise RuntimeError("internal truncation bookkeeping error")
     return out
 
 
@@ -213,7 +214,8 @@ def branch_character(l: int, r: int, parity: Parity = "both", order: int = 20) -
     if total is None:
         raise ValueError(f"no branch terms of parity {parity!r}")
     target = osp_weight(l, r) - osp_central_charge(l) / 24 + order
-    assert total.order_exponent > target, "internal truncation bookkeeping error"
+    if total.order_exponent <= target:
+        raise RuntimeError("internal truncation bookkeeping error")
     return total
 
 
@@ -253,8 +255,3 @@ def singular_weights(model: MinimalModel, label: KacLabel) -> tuple[Fraction, Fr
         h_alpha_beta(label.r, -label.s, t),
         h_alpha_beta(label.r - 2 * model.q, -label.s, t),
     )
-
-
-def _ceil(x: Fraction) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)

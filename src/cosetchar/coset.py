@@ -182,6 +182,7 @@ def verify_decomposition(
     Columns are the coefficients of q^(-1/30 + k), k = 0..order.  perturb,
     when given as (row, column, delta), shifts one summand coefficient before
     summing; it exists so that the failure path stays honest and testable.
+    A position outside the 6 x (order+1) summand table raises ValueError.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -190,6 +191,11 @@ def verify_decomposition(
     notes = ()
     if perturb is not None:
         row, col, delta = perturb
+        if not (0 <= row < len(summands) and 0 <= col <= order):
+            raise ValueError(
+                f"perturb position {row}:{col} lies outside the "
+                f"{len(summands)} x {order + 1} summand table"
+            )
         summands[row][1][col] += delta
         notes = (f"perturbed row {row} column {col} by {delta:+d}",)
     col_sums = tuple(sum(vals[k] for _, vals in summands) for k in range(order + 1))

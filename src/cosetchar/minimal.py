@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .series import FracSeries, euler_product, monomial, theta_null
+from .series import FracSeries, _ceil, euler_product, monomial, theta_null
 
 __all__ = ["KacLabel", "MinimalModel", "ModuleSum"]
 
@@ -174,7 +174,8 @@ class MinimalModel:
         eta_inv = euler_product(-1, -1, n)
         pref = monomial(1, -1, 24, 24 * (theta_bound + n) + 1)
         out = theta * eta_inv * pref
-        assert out.order_exponent > target, "internal truncation bookkeeping error"
+        if out.order_exponent <= target:
+            raise RuntimeError("internal truncation bookkeeping error")
         return out
 
 
@@ -210,10 +211,6 @@ def _fuse(p, q, t1, t2):
         if _fusion_dim(p, q, t1, t2, tuple(c)):
             out.append(tuple(c))
     return tuple(out)
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def kac_table_csv(model: MinimalModel) -> str:

@@ -1,10 +1,12 @@
 """Exact truncated formal series in a fractional power of q.
 
-A :class:`FracSeries` stores the coefficients of ``q**((lowest+k)/den)`` for
-``k = 0 .. len(coeffs)-1`` as arbitrary-precision rationals.  Every operation
-tracks the largest exponent bound below which its result is still exact, so a
-coefficient can never silently degrade into garbage: asking for one at or
-beyond the bound raises instead of returning zero.
+A :class:`FracSeries` stores only its nonzero terms, as sorted
+``(position, coefficient)`` pairs on the exponent lattice ``(1/den)Z``; an
+integer coefficient is a plain ``int``, a ``Fraction`` only when a caller
+passes a non-integer one.  Every operation tracks the largest exponent bound
+below which its result is still exact, so a coefficient can never silently
+degrade into garbage: asking for one at or beyond the bound raises instead
+of returning zero.  Products never multiply a pair landing past that bound.
 
 The module also provides the handful of special series every character in
 this package is assembled from: plain monomial prefactors, Euler products
@@ -15,8 +17,12 @@ linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)``.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
-from math import comb, gcd, lcm
+from itertools import islice
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -29,56 +35,83 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _ceil(x: Fraction | int) -> int:
+    """Exact ceiling of a rational."""
+    x = Fraction(x)
+    return -((-x.numerator) // x.denominator)
+
+
+def _exact(c) -> int | Fraction:
+    """A coefficient as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class FracSeries:
-    """Truncated series ``sum_k coeffs[k] * q**((lowest+k)/den)``.
+    """Truncated series ``sum_(p, c) in terms c * q**(p/den)``.
 
-    Exact for every exponent strictly below ``order/den`` where
-    ``order == lowest + len(coeffs)``; nothing is known at or beyond that
-    bound.  Exponents strictly below ``lowest/den`` are exactly zero.
-    Instances are immutable; all arithmetic returns new objects.
+    ``terms`` holds the nonzero coefficients only, sorted by position.  The
+    series is exact for every exponent strictly below ``order/den`` and
+    nothing is known at or beyond that bound; exponents strictly below
+    ``lowest/den`` are exactly zero.  ``coeffs`` is the dense view of slots
+    ``lowest .. order-1`` (zeros included), derived on demand for
+    serialization and inspection.  Instances are immutable; all arithmetic
+    returns new objects.
     """
 
-    __slots__ = ("den", "lowest", "coeffs")
+    __slots__ = ("den", "lowest", "order", "terms")
 
     def __init__(self, den: int, lowest: int, coeffs: Iterable[Fraction | int]):
         if den < 1:
             raise ValueError(f"denominator must be >= 1, got {den}")
         self.den = int(den)
         self.lowest = int(lowest)
-        self.coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        values = [_exact(c) for c in coeffs]
+        self.order = self.lowest + len(values)
+        self.terms = tuple((self.lowest + k, c) for k, c in enumerate(values) if c)
 
-    @property
-    def order(self) -> int:
-        """Scaled exponent bound: exact strictly below ``order/den``."""
-        return self.lowest + len(self.coeffs)
+    @classmethod
+    def _from_terms(cls, den: int, lowest: int, order: int, pairs) -> "FracSeries":
+        """Series from (position, coefficient) pairs with distinct positions."""
+        out = object.__new__(cls)
+        out.den, out.lowest, out.order = den, lowest, order
+        out.terms = tuple(t for t in sorted(pairs) if t[1])
+        return out
 
     @property
     def order_exponent(self) -> Fraction:
+        """Exponent bound: exact strictly below ``order/den``."""
         return Fraction(self.order, self.den)
+
+    @property
+    def coeffs(self) -> tuple[int | Fraction, ...]:
+        """Dense coefficients of slots ``lowest .. order-1``."""
+        out = [0] * (self.order - self.lowest)
+        for p, c in self.terms:
+            out[p - self.lowest] = c
+        return tuple(out)
 
     # -- inspection ------------------------------------------------------
 
     def exponent(self, k: int) -> Fraction:
-        """Exponent of the k-th stored coefficient."""
+        """Exponent of the k-th slot above ``lowest``."""
         return Fraction(self.lowest + k, self.den)
 
     def nonzero_terms(self) -> Iterator[tuple[Fraction, Fraction]]:
-        """Yield (exponent, coefficient) for every nonzero stored term."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                yield Fraction(self.lowest + k, self.den), c
+        """Yield (exponent, coefficient) for every nonzero term."""
+        for p, c in self.terms:
+            yield Fraction(p, self.den), Fraction(c)
 
     def leading_term(self) -> tuple[Fraction, Fraction] | None:
         """First nonzero (exponent, coefficient), or None for a zero series."""
-        for term in self.nonzero_terms():
-            return term
-        return None
+        return next(self.nonzero_terms(), None)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.terms
 
     def coeff(self, num: int | Fraction, den: int = 1) -> Fraction:
         """Exact coefficient of ``q**(num/den)``.
@@ -96,10 +129,11 @@ class FracSeries:
         scaled = e * self.den
         if scaled.denominator != 1:
             return _ZERO
-        k = int(scaled) - self.lowest
-        if k < 0:
-            return _ZERO
-        return self.coeffs[k]
+        pos = scaled.numerator
+        k = bisect_left(self.terms, (pos,))
+        if k < len(self.terms) and self.terms[k][0] == pos:
+            return Fraction(self.terms[k][1])
+        return _ZERO
 
     # -- representation changes -----------------------------------------
 
@@ -110,43 +144,31 @@ class FracSeries:
         f = new_den // self.den
         if f == 1:
             return self
-        coeffs = [_ZERO] * (len(self.coeffs) * f)
-        for k, c in enumerate(self.coeffs):
-            coeffs[k * f] = c
         # exactness bound carries over: old order/den == new order/new_den
-        return FracSeries(new_den, self.lowest * f, coeffs)
+        pairs = ((p * f, c) for p, c in self.terms)
+        return FracSeries._from_terms(new_den, self.lowest * f, self.order * f, pairs)
 
     def reduced(self) -> "FracSeries":
         """Equivalent series on the coarsest lattice holding all nonzero terms."""
         if self.den == 1:
             return self
-        g = 0
-        for k, c in enumerate(self.coeffs):
-            if c:
-                g = gcd(g, self.lowest + k)
         # d must divide order as well, otherwise the coarser lattice would
         # either drop a known slot or claim exactness past the true bound
-        d = gcd(g, self.den, self.order)
+        d = gcd(self.den, self.order, *(p for p, _ in self.terms))
         if d == 1:
             return self
-        new_den = self.den // d
         hi = self.order // d
-        lo = min(-(-self.lowest // d), hi)
-        coeffs = [_ZERO] * (hi - lo)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                coeffs[(self.lowest + k) // d - lo] = c
-        return FracSeries(new_den, lo, coeffs)
+        pairs = ((p // d, c) for p, c in self.terms)
+        return FracSeries._from_terms(self.den // d, -(-self.lowest // d), hi, pairs)
 
     def truncate(self, bound: Fraction | int) -> "FracSeries":
         """Drop knowledge at exponents >= bound (bound must not exceed order)."""
         b = Fraction(bound)
         if b > self.order_exponent:
             raise ValueError("cannot truncate beyond the exactness bound")
-        scaled = b * self.den
-        new_order = -(-scaled.numerator // scaled.denominator)  # ceil
-        keep = max(new_order - self.lowest, 0)
-        return FracSeries(self.den, min(self.lowest, new_order), self.coeffs[:keep])
+        order = _ceil(b * self.den)
+        keep = self.terms[: bisect_left(self.terms, (order,))]
+        return FracSeries._from_terms(self.den, min(self.lowest, order), order, keep)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -154,22 +176,18 @@ class FracSeries:
         if not isinstance(other, FracSeries):
             return NotImplemented
         d = lcm(self.den, other.den)
-        a, b = self.rescale(d), other.rescale(d)
-        order = min(a.order, b.order)
-        lowest = min(a.lowest, b.lowest, order)
-        coeffs = [_ZERO] * (order - lowest)
-        for k, c in enumerate(a.coeffs):
-            pos = a.lowest + k
-            if c and pos < order:
-                coeffs[pos - lowest] += c
-        for k, c in enumerate(b.coeffs):
-            pos = b.lowest + k
-            if c and pos < order:
-                coeffs[pos - lowest] += c
-        return FracSeries(d, lowest, coeffs)
+        fa, fb = d // self.den, d // other.den
+        order = min(self.order * fa, other.order * fb)
+        lowest = min(self.lowest * fa, other.lowest * fb)
+        acc = defaultdict(int)
+        for f, terms in ((fa, self.terms), (fb, other.terms)):
+            for p, c in terms:
+                if p * f < order:
+                    acc[p * f] += c
+        return FracSeries._from_terms(d, lowest, order, acc.items())
 
     def __neg__(self) -> "FracSeries":
-        return FracSeries(self.den, self.lowest, tuple(-c for c in self.coeffs))
+        return self.scaled(-1)
 
     def __sub__(self, other: "FracSeries") -> "FracSeries":
         if not isinstance(other, FracSeries):
@@ -178,8 +196,9 @@ class FracSeries:
 
     def scaled(self, factor: Fraction | int) -> "FracSeries":
         """Multiply every coefficient by an exact scalar."""
-        f = Fraction(factor)
-        return FracSeries(self.den, self.lowest, tuple(c * f for c in self.coeffs))
+        f = _exact(factor)
+        pairs = ((p, c * f) for p, c in self.terms)
+        return FracSeries._from_terms(self.den, self.lowest, self.order, pairs)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -187,25 +206,23 @@ class FracSeries:
         if not isinstance(other, FracSeries):
             return NotImplemented
         d = lcm(self.den, other.den)
-        a, b = self.rescale(d), other.rescale(d)
-        ta = [(a.lowest + k, c) for k, c in enumerate(a.coeffs) if c]
-        tb = [(b.lowest + k, c) for k, c in enumerate(b.coeffs) if c]
-        # First possibly-nonzero exponent of each factor; with no nonzero term
+        fa, fb = d // self.den, d // other.den
+        tb = [(j * fb, c) for j, c in other.terms]
+        pos_b = [j for j, _ in tb]
+        # First possibly-nonzero position of each factor; with no nonzero term
         # stored that is the truncation bound itself.
-        lo_a = ta[0][0] if ta else a.order
-        lo_b = tb[0][0] if tb else b.order
+        lo_a = (self.terms[0][0] if self.terms else self.order) * fa
+        lo_b = pos_b[0] if tb else other.order * fb
         # Unknown tail of one factor first pollutes the product at
         # order_a + lo_b (resp. order_b + lo_a); below that every Cauchy
         # convolution term is made of known coefficients.
-        order = min(a.order + lo_b, b.order + lo_a)
-        lowest = min(lo_a + lo_b, order)
-        coeffs = [_ZERO] * (order - lowest)
-        for i, ca in ta:
-            for j, cb in tb:
-                pos = i + j
-                if pos < order:
-                    coeffs[pos - lowest] += ca * cb
-        return FracSeries(d, lowest, coeffs)
+        order = min(self.order * fa + lo_b, other.order * fb + lo_a)
+        acc = defaultdict(int)
+        for i, ca in self.terms:
+            i *= fa
+            for j, cb in islice(tb, bisect_left(pos_b, order - i)):
+                acc[i + j] += ca * cb
+        return FracSeries._from_terms(d, lo_a + lo_b, order, acc.items())
 
     __rmul__ = __mul__
 
@@ -224,38 +241,31 @@ class FracSeries:
         if not isinstance(other, FracSeries):
             return NotImplemented
         d = lcm(self.den, other.den)
-        a, b = self.rescale(d), other.rescale(d)
-        order = min(a.order, b.order)
-        lo = min(a.lowest, b.lowest)
-        for pos in range(lo, order):
-            ca = a.coeffs[pos - a.lowest] if a.lowest <= pos < a.order else _ZERO
-            cb = b.coeffs[pos - b.lowest] if b.lowest <= pos < b.order else _ZERO
-            if ca != cb:
-                return False
-        return True
+        fa, fb = d // self.den, d // other.den
+        order = min(self.order * fa, other.order * fb)
+        return [(p * fa, c) for p, c in self.terms if p * fa < order] == [
+            (p * fb, c) for p, c in other.terms if p * fb < order
+        ]
 
     __hash__ = None  # overlap equality is not hash-compatible
 
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "denominator": self.den,
-            "lowest": self.lowest,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
-            "order": self.order,
-        }
+        coeffs = ["0/1"] * (self.order - self.lowest)
+        for p, c in self.terms:
+            coeffs[p - self.lowest] = f"{c.numerator}/{c.denominator}"
+        return {"denominator": self.den, "lowest": self.lowest, "coeffs": coeffs,
+                "order": self.order}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FracSeries":
-        den = int(d["denominator"])
-        lowest = int(d["lowest"])
-        coeffs = [Fraction(s) for s in d["coeffs"]]
+        out = cls(int(d["denominator"]), int(d["lowest"]), d["coeffs"])
         order = int(d["order"])
-        if order < lowest + len(coeffs):
+        if order < out.order:
             raise ValueError("order field below the stored coefficient range")
-        coeffs.extend([_ZERO] * (order - lowest - len(coeffs)))
-        return cls(den, lowest, coeffs)
+        out.order = order
+        return out
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -284,17 +294,14 @@ def series_from_terms(
     bound's, so every term sits on an integer slot.
     """
     bound = Fraction(bound)
-    kept = [(Fraction(e), Fraction(c)) for e, c in terms if Fraction(e) < bound]
-    d = 1
-    for e, _ in kept:
-        d = lcm(d, e.denominator)
-    d = lcm(d, bound.denominator)
-    order = int(bound * d)
-    lowest = min((int(e * d) for e, _ in kept), default=order)
-    coeffs = [_ZERO] * (order - lowest)
+    kept = [(e, c) for e, c in ((Fraction(e), c) for e, c in terms) if e < bound]
+    d = lcm(bound.denominator, *(e.denominator for e, _ in kept))
+    order = bound.numerator * (d // bound.denominator)
+    acc = defaultdict(int)
     for e, c in kept:
-        coeffs[int(e * d) - lowest] += c
-    return FracSeries(d, lowest, coeffs).reduced()
+        acc[e.numerator * (d // e.denominator)] += _exact(c)
+    lowest = min(acc, default=order)
+    return FracSeries._from_terms(d, lowest, order, acc.items()).reduced()
 
 
 def monomial(c: Fraction | int, num: int, den: int, order_terms: int) -> FracSeries:
@@ -303,16 +310,7 @@ def monomial(c: Fraction | int, num: int, den: int, order_terms: int) -> FracSer
         raise ValueError("den must be >= 1")
     if order_terms < 1:
         raise ValueError("order_terms must be >= 1")
-    coeffs = [_ZERO] * order_terms
-    coeffs[0] = Fraction(c)
-    return FracSeries(den, num, coeffs)
-
-
-def _binom(e: int, k: int) -> int:
-    """Generalized binomial C(e, k) for integer e (possibly negative)."""
-    if e >= 0:
-        return comb(e, k) if k <= e else 0
-    return (-1) ** k * comb(-e + k - 1, k)
+    return FracSeries._from_terms(den, num, num + order_terms, [(num, _exact(c))])
 
 
 def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
@@ -320,29 +318,27 @@ def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
 
     sign is +1 or -1.  Factors beyond N only touch exponents > N, so the
     retained coefficients 0..N are the coefficients of the full infinite
-    product.  Negative exponents expand each factor as a generalized
-    binomial series.
+    product.  They come from the logarithmic-derivative recurrence
+    ``n a_n = sum_{k=1..n} g(k) a_{n-k}`` with ``g(k) = -e sigma(k)`` for
+    ``(1-q^n)^e`` and ``g(k) = e (sigma(k) - 2 sigma(k/2))`` for
+    ``(1+q^n)^e``, where sigma is the divisor sum (zero off the integers).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     n = n_terms
-    acc = [0] * (n + 1)
-    acc[0] = 1
+    sigma = [0] * (n + 1)
+    for k in range(1, n + 1):
+        for m in range(k, n + 1, k):
+            sigma[m] += k
+    g = [-exponent * s for s in sigma] if sign == -1 else [
+        exponent * (s - (0 if k % 2 else 2 * sigma[k // 2])) for k, s in enumerate(sigma)
+    ]
+    a = [1] + [0] * n
     for m in range(1, n + 1):
-        # factor (1 + sign*q^m)^exponent truncated at q^n
-        factor = [(_k, _binom(exponent, _k) * sign**_k) for _k in range(n // m + 1)]
-        new = [0] * (n + 1)
-        for pos, c in enumerate(acc):
-            if not c:
-                continue
-            for k, b in factor:
-                p = pos + k * m
-                if p <= n:
-                    new[p] += c * b
-        acc = new
-    return FracSeries(1, 0, acc)
+        a[m] = sum(map(mul, g[1 : m + 1], a[m - 1 :: -1])) // m
+    return FracSeries._from_terms(1, 0, n + 1, enumerate(a))
 
 
 def _quadratic_terms(coeff_of_m, exponent_of_m, bound: Fraction):
@@ -381,7 +377,7 @@ def theta_null(a: int, b: int, order: int) -> FracSeries:
         raise ValueError("order must be >= 1")
     bound = Fraction(order)
     terms = _quadratic_terms(
-        lambda m: _ONE,
+        lambda m: 1,
         lambda m: Fraction((2 * a * m + b) ** 2, 4 * a),
         bound,
     )
@@ -399,7 +395,7 @@ def weighted_theta(a: int, b: int, c: Fraction | int, order: int) -> FracSeries:
         raise ValueError("order must be >= 1")
     bound = Fraction(order)
     terms = _quadratic_terms(
-        lambda m: Fraction(a * m + b),
+        lambda m: a * m + b,
         lambda m: c * (a * m + b) ** 2 / a**2,
         bound,
     )

@@ -200,3 +200,20 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     content = target.read_text()
     assert content.startswith("0/1,1/40")
+
+
+@pytest.mark.parametrize("spec", ["9:0:1", "0:99:1", "-1:0:1"])
+def test_perturb_outside_table_is_usage_error(capsys, spec):
+    code, out, err = run(capsys, "verify", "decomposition", "--order", "5",
+                         f"--perturb={spec}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: perturb position") and err.count("\n") == 1
+    assert "6 x 6 summand table" in err
+
+
+def test_unwritable_output_is_usage_error(capsys):
+    code, out, err = run(capsys, "kac-table", "10", "7", "--output", "/nonexistent/x.json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write /nonexistent/x.json") and err.count("\n") == 1

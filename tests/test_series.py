@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from functools import cache
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,3 +359,153 @@ def test_series_from_terms_merges_duplicates():
     s = series_from_terms([(F(1, 2), F(1)), (F(1, 2), F(2)), (F(3), F(-1))], 5)
     assert s.coeff(1, 2) == 3
     assert s.coeff(3) == -1
+
+
+# --- sparse kernel against the dense reference -------------------------------
+
+def binom(e, k):
+    """Generalized binomial C(e, k) for integer e (possibly negative)."""
+    if e >= 0:
+        return comb(e, k) if k <= e else 0
+    return (-1) ** k * comb(-e + k - 1, k)
+
+
+def binomial_euler(sign, exponent, n):
+    """prod_{m<=n} (1 + sign q^m)^exponent through q^n, one binomial factor at a time."""
+    acc = [0] * (n + 1)
+    acc[0] = 1
+    for m in range(1, n + 1):
+        factor = [(k, binom(exponent, k) * sign**k) for k in range(n // m + 1)]
+        new = [0] * (n + 1)
+        for pos, c in enumerate(acc):
+            for k, b in factor:
+                if c and pos + k * m <= n:
+                    new[pos + k * m] += c * b
+        acc = new
+    return acc
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("exponent", [-3, -1, 1, 2])
+def test_euler_recurrence_matches_binomial_expansion(sign, exponent):
+    expected = binomial_euler(sign, exponent, 60)
+    for n in range(1, 61):
+        s = euler_product(sign, exponent, n)
+        assert (s.den, s.lowest, s.order) == (1, 0, n + 1)
+        assert s.coeffs == tuple(expected[: n + 1]), n
+
+
+class DenseSeries:
+    """The dense kernel: a Fraction in every slot of the 1/den lattice."""
+
+    def __init__(self, den, lowest, coeffs):
+        self.den, self.lowest, self.coeffs = den, lowest, [F(c) for c in coeffs]
+
+    @property
+    def order(self):
+        return self.lowest + len(self.coeffs)
+
+    def rescale(self, new_den):
+        f = new_den // self.den
+        coeffs = [F(0)] * (len(self.coeffs) * f)
+        coeffs[::f] = self.coeffs
+        return DenseSeries(new_den, self.lowest * f, coeffs)
+
+    def reduced(self):
+        if self.den == 1:
+            return self
+        g = 0
+        for k, c in enumerate(self.coeffs):
+            if c:
+                g = gcd(g, self.lowest + k)
+        d = gcd(g, self.den, self.order)
+        if d == 1:
+            return self
+        hi = self.order // d
+        lo = min(-(-self.lowest // d), hi)
+        coeffs = [F(0)] * (hi - lo)
+        for k, c in enumerate(self.coeffs):
+            if c:
+                coeffs[(self.lowest + k) // d - lo] = c
+        return DenseSeries(self.den // d, lo, coeffs)
+
+    def truncate(self, bound):
+        scaled = F(bound) * self.den
+        new_order = -(-scaled.numerator // scaled.denominator)
+        keep = max(new_order - self.lowest, 0)
+        return DenseSeries(self.den, min(self.lowest, new_order), self.coeffs[:keep])
+
+    def __add__(self, other):
+        d = lcm(self.den, other.den)
+        a, b = self.rescale(d), other.rescale(d)
+        order = min(a.order, b.order)
+        lowest = min(a.lowest, b.lowest, order)
+        coeffs = [F(0)] * (order - lowest)
+        for s in (a, b):
+            for k, c in enumerate(s.coeffs):
+                if s.lowest + k < order:
+                    coeffs[s.lowest + k - lowest] += c
+        return DenseSeries(d, lowest, coeffs)
+
+    def __mul__(self, other):
+        d = lcm(self.den, other.den)
+        a, b = self.rescale(d), other.rescale(d)
+        ta = [(a.lowest + k, c) for k, c in enumerate(a.coeffs) if c]
+        tb = [(b.lowest + k, c) for k, c in enumerate(b.coeffs) if c]
+        lo_a = ta[0][0] if ta else a.order
+        lo_b = tb[0][0] if tb else b.order
+        order = min(a.order + lo_b, b.order + lo_a)
+        lowest = min(lo_a + lo_b, order)
+        coeffs = [F(0)] * (order - lowest)
+        for i, ca in ta:
+            for j, cb in tb:
+                if i + j < order:
+                    coeffs[i + j - lowest] += ca * cb
+        return DenseSeries(d, lowest, coeffs)
+
+    def to_json_dict(self):
+        return {
+            "denominator": self.den,
+            "lowest": self.lowest,
+            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
+            "order": self.order,
+        }
+
+
+@st.composite
+def paired_series(draw):
+    """The same coefficients as a sparse FracSeries and as a DenseSeries."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 30]))
+    lowest = draw(st.integers(-12, 12))
+    ints = st.one_of(st.just(0), st.integers(-5, 5))
+    entry = ints if draw(st.booleans()) else st.one_of(ints, small_fracs)
+    coeffs = draw(st.lists(entry, min_size=0, max_size=14))
+    return FracSeries(den, lowest, coeffs), DenseSeries(den, lowest, coeffs)
+
+
+@given(a=paired_series(), b=paired_series())
+@settings(max_examples=200, deadline=None)
+def test_sparse_kernel_matches_dense_reference(a, b):
+    (sa, da), (sb, db) = a, b
+    assert sa.to_json_dict() == da.to_json_dict()
+    assert (sa * sb).to_json_dict() == (da * db).to_json_dict()
+    assert (sa + sb).to_json_dict() == (da + db).to_json_dict()
+    assert sa.reduced().to_json_dict() == da.reduced().to_json_dict()
+    assert (sa * sb).reduced().to_json_dict() == (da * db).reduced().to_json_dict()
+
+
+@given(a=paired_series(), back=st.fractions(0, 4, max_denominator=12))
+@settings(max_examples=100, deadline=None)
+def test_sparse_truncate_matches_dense_reference(a, back):
+    s, d = a
+    bound = s.order_exponent - back
+    assert s.truncate(bound).to_json_dict() == d.truncate(bound).to_json_dict()
+
+
+def test_integer_coefficients_stay_int():
+    s = FracSeries(2, 0, [F(4, 2), 1, 0, F(1, 3)])
+    assert s.terms == ((0, 2), (1, 1), (3, F(1, 3)))
+    assert type(s.terms[0][1]) is int
+    assert all(type(c) is int for _, c in (euler_product(-1, -3, 20) * s.truncate(1)).terms)
+    assert s.coeff(0) == 2 and type(s.coeff(0)) is F
+
