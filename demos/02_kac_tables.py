@@ -1,4 +1,8 @@
-"""Minimal model weight grids and admissibility fusion.
+"""Minimal model weight grids and fusion rules.
+
+Fusion of (r,s) labels is the product of the su(2) fusion rules at levels
+q-2 (on r) and p-2 (on s), read through the Kac identification
+(r,s) ~ (q-r,p-s).
 
 The (10,7) model is the one underlying the coset studied in this package;
 the (4,3) Ising grid is shown for comparison.

@@ -4,8 +4,8 @@ The package is organized in layers:
 
 - series: truncated exact q-series with fractional exponents, plus the theta
   sums and Euler products every character is built from
-- minimal: Kac tables, admissible-triple fusion and irreducible characters of
-  the rational Virasoro models
+- minimal: Kac tables, su(2) x su(2) fusion rules and irreducible characters
+  of the rational Virasoro models
 - affine: osp(1|2) and sl2 affine characters and the parity branching that
   ties them together
 - coset: coefficientwise verification of the c = 8/35 coset decomposition of

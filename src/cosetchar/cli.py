@@ -182,12 +182,7 @@ def cmd_verify(args) -> tuple[str, int]:
     elif args.which == "singular-ladder":
         reports = [coset.singular_ladder(args.order)]
     else:
-        reports = [
-            coset.verify_central_charge(),
-            coset.verify_decomposition(args.order, perturb),
-            coset.verify_even_refinement(min(args.order, coset.MAX_REFINEMENT_ORDER)),
-            coset.singular_ladder(args.order),
-        ]
+        reports = coset.run_all(args.order, perturb)
     passed = all(r.passed for r in reports)
     if args.format == "json":
         dicts = [r.to_json_dict() for r in reports]

@@ -377,10 +377,12 @@ def singular_ladder(order: int = 20) -> VerificationReport:
     )
 
 
-def run_all(order: int = 20) -> list[VerificationReport]:
+def run_all(
+    order: int = 20, perturb: tuple[int, int, int] | None = None
+) -> list[VerificationReport]:
     return [
         verify_central_charge(),
-        verify_decomposition(order),
+        verify_decomposition(order, perturb),
         verify_even_refinement(min(order, MAX_REFINEMENT_ORDER)),
         singular_ladder(order),
     ]

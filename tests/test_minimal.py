@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from cosetchar.minimal import KacLabel, MinimalModel, ModuleSum, kac_table_csv
+from cosetchar.minimal import KacLabel, MinimalModel, ModuleSum, _triple_ok, kac_table_csv
 
 F = Fraction
 L = KacLabel
@@ -147,6 +149,78 @@ def test_fusion_commutative_sample():
     labels = M107.canonical_labels()
     for a, b in itertools.product(labels[::5], labels[::4]):
         assert M107.fuse(a, b) == M107.fuse(b, a)
+
+
+def _coprime_models(lo, hi):
+    return [
+        MinimalModel(p, q)
+        for p in range(lo, hi + 1)
+        for q in range(lo, hi + 1)
+        if p != q and gcd(p, q) == 1
+    ]
+
+
+def _reference_fusion_dim(model, t1, t2, t3):
+    """Representative search: 1 iff some choice of Kac representatives of the
+    three labels is an admissible triple.  Independent of the su(2) ranges."""
+    p, q = model.p, model.q
+
+    def reps(t):
+        return ((t.r, t.s), (q - t.r, p - t.s))
+
+    for a in reps(t1):
+        for b in reps(t2):
+            for c in reps(t3):
+                if _triple_ok((a[0], b[0], c[0]), 2 * q - 1) and _triple_ok(
+                    (a[1], b[1], c[1]), 2 * p - 1
+                ):
+                    return 1
+    return 0
+
+
+def test_fuse_matches_representative_search():
+    for model in _coprime_models(3, 9) + [M107]:
+        labels = model.canonical_labels()
+        for a, b in itertools.product(labels, repeat=2):
+            expected = ModuleSum(
+                {c: 1 for c in labels if _reference_fusion_dim(model, a, b, c)}
+            )
+            assert model.fuse(a, b) == expected, (model, a, b)
+
+
+def test_fusion_dim_matches_representative_search_on_raw_triples():
+    for model in (M107, MinimalModel(5, 4)):
+        raw = [L(r, s) for r in range(1, model.q) for s in range(1, model.p)]
+        for t1, t2, t3 in itertools.product(raw, repeat=3):
+            assert model.fusion_dim(t1, t2, t3) == _reference_fusion_dim(
+                model, t1, t2, t3
+            ), (model, t1, t2, t3)
+
+
+def _sum_fused(terms, fuse_term):
+    """Sum of fuse_term(label) over a ModuleSum, each label counted with its multiplicity."""
+    out = ModuleSum({})
+    for lab, m in terms:
+        out = out + ModuleSum({k: v * m for k, v in fuse_term(lab)})
+    return out
+
+
+def test_fusion_ring_axioms_sweep():
+    rng = random.Random(20251018)
+    for model in _coprime_models(3, 11):
+        labels = model.canonical_labels()
+        for a in labels:
+            assert model.fuse(L(1, 1), a) == {a: 1} == model.fuse(a, L(1, 1)), (model, a)
+        for a, b in itertools.product(labels, repeat=2):
+            assert model.fuse(a, b) == model.fuse(b, a), (model, a, b)
+        # every triple of the small models, a seeded sample of the large ones
+        triples = list(itertools.product(labels, repeat=3))
+        if len(triples) > 1000:
+            triples = rng.sample(triples, 200)
+        for a, b, c in triples:
+            left = _sum_fused(model.fuse(a, b), lambda d: model.fuse(d, c))
+            right = _sum_fused(model.fuse(b, c), lambda d: model.fuse(a, d))
+            assert left == right, (model, a, b, c)
 
 
 def test_module_sum_addition_and_json():
