@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .minimal import KacLabel, MinimalModel
-from .series import FracSeries, _ceil, euler_product, monomial, weighted_theta
+from .series import FracSeries, _character, weighted_theta
 
 __all__ = [
     "OspLabel",
@@ -126,13 +126,12 @@ def osp_character(lab: OspLabel, order: int = 20) -> FracSeries:
     / (q^(1/24) prod(1-q^n)^3), with a = 2l+3.
     """
     a = 2 * lab.l + 3
-    e0 = osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24
-    return _assemble(
-        theta=weighted_theta(2 * a, lab.r, Fraction(a, 2), _ceil(e0 + order + Fraction(1, 24)) + 2),
+    return _character(
+        lambda bound: weighted_theta(2 * a, lab.r, Fraction(a, 2), bound),
         euler_parts=((1, 2), (-1, -3)),
         eta_den=24,
+        target=osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24 + order,
         order=order,
-        target=e0 + order,
     )
 
 
@@ -149,26 +148,13 @@ def sl2_weight(lab: Sl2Label) -> Fraction:
 def sl2_character(lab: Sl2Label, order: int = 20) -> FracSeries:
     """Specialized character of L(l, i); leading term (i+1) q^(h_i - c/24)."""
     k = lab.l + 2
-    e0 = sl2_weight(lab) - sl2_central_charge(lab.l) / 24
-    return _assemble(
-        theta=weighted_theta(2 * k, lab.i + 1, Fraction(k), _ceil(e0 + order + Fraction(1, 8)) + 2),
+    return _character(
+        lambda bound: weighted_theta(2 * k, lab.i + 1, Fraction(k), bound),
         euler_parts=((-1, -3),),
         eta_den=8,
+        target=sl2_weight(lab) - sl2_central_charge(lab.l) / 24 + order,
         order=order,
-        target=e0 + order,
     )
-
-
-def _assemble(theta, euler_parts, eta_den, order, target):
-    out = theta
-    n = order + 2
-    for sign, e in euler_parts:
-        out = out * euler_product(sign, e, n)
-    span = out.order - out.lowest
-    out = out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
-    if out.order_exponent <= target:
-        raise RuntimeError("internal truncation bookkeeping error")
-    return out
 
 
 def branch_model(l: int) -> MinimalModel:

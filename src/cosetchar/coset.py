@@ -117,17 +117,13 @@ class VerificationReport:
         lines = [head]
         for label, coeffs in self.rows:
             lines.append(
-                '"' + label + '",' + ",".join(_csv_rat(c) for c in coeffs)
+                '"' + label + '",' + ",".join(str(_json_rat(c)) for c in coeffs)
             )
         return "\n".join(lines) + "\n"
 
 
 def _json_rat(c: Fraction):
     return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _csv_rat(c: Fraction) -> str:
-    return str(int(c)) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _coeff_row(series: FracSeries, order: int) -> tuple[Fraction, ...]:

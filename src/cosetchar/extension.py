@@ -10,7 +10,9 @@ only through a flag.
 Extended fusion is computed by inducing: pick one Virasoro constituent of
 each factor, fuse them in the minimal model, then replace every label in the
 result by its orbit.  An orbit picked up through both of its members counts
-twice; the outcome does not depend on which constituents were chosen.
+twice; the outcome does not depend on which constituents were chosen.  The
+result is an ``ExtModuleSum``: the minimal model's ``ModuleSum`` multiset
+with every label folded onto its orbit representative.
 """
 
 from __future__ import annotations
@@ -104,45 +106,10 @@ def ext_label(r: int, s: int) -> ExtLabel:
     return ExtLabel(min(r, 7 - r), s)
 
 
-class ExtModuleSum:
+class ExtModuleSum(ModuleSum):
     """Multiset of orbit representatives with positive multiplicities."""
 
-    def __init__(self, mults: dict[ExtLabel, int]):
-        acc: dict[ExtLabel, int] = {}
-        for lab, m in mults.items():
-            if m < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            if m:
-                key = lab.orbit()
-                acc[key] = acc.get(key, 0) + m
-        self.mults = dict(sorted(acc.items()))
-
-    def __eq__(self, other):
-        if isinstance(other, dict):
-            other = ExtModuleSum(other)
-        return isinstance(other, ExtModuleSum) and self.mults == other.mults
-
-    def __iter__(self):
-        return iter(self.mults.items())
-
-    def __len__(self):
-        return len(self.mults)
-
-    def __getitem__(self, lab: ExtLabel) -> int:
-        return self.mults.get(lab.orbit(), 0)
-
-    def __add__(self, other: "ExtModuleSum") -> "ExtModuleSum":
-        out = dict(self.mults)
-        for lab, m in other.mults.items():
-            out[lab] = out.get(lab, 0) + m
-        return ExtModuleSum(out)
-
-    def to_json(self) -> list[dict]:
-        return [{"r": lab.r, "s": lab.s, "mult": m} for lab, m in self]
-
-    def __repr__(self):
-        inner = " + ".join((f"{m}*" if m != 1 else "") + str(lab) for lab, m in self)
-        return f"<ExtModuleSum {inner or '0'}>"
+    _key = staticmethod(ExtLabel.orbit)
 
 
 def classify_ext_modules() -> tuple[list[ExtLabel], list[KacLabel]]:
@@ -198,11 +165,7 @@ def ext_fuse(
             )
     va = a.constituents[constituent_a]
     vb = b.constituents[constituent_b]
-    lifted: dict[ExtLabel, int] = {}
-    for lab, mult in MODEL.fuse(va, vb):
-        key = ExtLabel(lab.r, lab.s).orbit()
-        lifted[key] = lifted.get(key, 0) + mult
-    return ExtModuleSum(lifted)
+    return ExtModuleSum({ExtLabel(lab.r, lab.s): m for lab, m in MODEL.fuse(va, vb)})
 
 
 def tensor_fusion_dim(d1: int, d2: int) -> int:

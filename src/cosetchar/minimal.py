@@ -18,36 +18,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
-from .series import FracSeries, _ceil, euler_product, monomial, theta_null
+from .series import FracSeries, _character, theta_null
 
 __all__ = ["KacLabel", "MinimalModel", "ModuleSum"]
 
 
-@dataclass(frozen=True, order=True)
-class KacLabel:
+class KacLabel(NamedTuple):
     r: int
     s: int
-
-    def __iter__(self):
-        return iter((self.r, self.s))
 
     def __str__(self):
         return f"({self.r},{self.s})"
 
 
 class ModuleSum:
-    """Finite multiset of canonical Kac labels with positive multiplicities."""
+    """Finite multiset of canonical Kac labels with positive multiplicities.
 
-    def __init__(self, mults: dict[KacLabel, int]):
-        self.mults = {lab: m for lab, m in sorted(mults.items()) if m}
-        if any(m < 0 for m in self.mults.values()):
+    Subclasses fold equivalent labels onto one key by overriding ``_key``.
+    """
+
+    _key = staticmethod(lambda label: label)
+
+    def __init__(self, mults: dict):
+        if any(m < 0 for m in mults.values()):
             raise ValueError("multiplicities must be nonnegative")
+        acc = {}
+        for lab, m in mults.items():
+            if m:
+                key = self._key(lab)
+                acc[key] = acc.get(key, 0) + m
+        self.mults = dict(sorted(acc.items()))
 
     def __eq__(self, other):
         if isinstance(other, dict):
-            other = ModuleSum(other)
-        return isinstance(other, ModuleSum) and self.mults == other.mults
+            other = type(self)(other)
+        return type(other) is type(self) and self.mults == other.mults
 
     def __iter__(self):
         return iter(self.mults.items())
@@ -55,14 +62,14 @@ class ModuleSum:
     def __len__(self):
         return len(self.mults)
 
-    def __getitem__(self, label: KacLabel) -> int:
-        return self.mults.get(label, 0)
+    def __getitem__(self, label) -> int:
+        return self.mults.get(self._key(label), 0)
 
     def __add__(self, other: "ModuleSum") -> "ModuleSum":
         out = dict(self.mults)
         for lab, m in other.mults.items():
             out[lab] = out.get(lab, 0) + m
-        return ModuleSum(out)
+        return type(self)(out)
 
     def to_json(self) -> list[dict]:
         return [{"r": lab.r, "s": lab.s, "mult": m} for lab, m in self]
@@ -74,7 +81,7 @@ class ModuleSum:
         inner = " + ".join(
             (f"{m}*" if m != 1 else "") + str(lab) for lab, m in self
         )
-        return f"<ModuleSum {inner or '0'}>"
+        return f"<{type(self).__name__} {inner or '0'}>"
 
 
 @dataclass(frozen=True)
@@ -144,15 +151,11 @@ class MinimalModel:
 
     def fusion_dim(self, t1: KacLabel, t2: KacLabel, t3: KacLabel) -> int:
         """1 iff the class of t3 occurs in the fusion product of t1 and t2."""
-        pairs = _fuse(self.p, self.q, tuple(self.canon(t1)), tuple(self.canon(t2)))
-        return int(tuple(self.canon(t3)) in pairs)
+        return int(self.canon(t3) in _fuse(self.p, self.q, self.canon(t1), self.canon(t2)))
 
     def fuse(self, t1: KacLabel, t2: KacLabel) -> ModuleSum:
         """Fusion product as a sum of canonical labels (multiplicities 0/1)."""
-        for t in (t1, t2):
-            self._check(t)
-        pairs = _fuse(self.p, self.q, tuple(self.canon(t1)), tuple(self.canon(t2)))
-        return ModuleSum({KacLabel(r, s): 1 for r, s in pairs})
+        return ModuleSum(dict.fromkeys(_fuse(self.p, self.q, self.canon(t1), self.canon(t2)), 1))
 
     # -- characters ------------------------------------------------------------
 
@@ -166,19 +169,14 @@ class MinimalModel:
         if order < 0:
             raise ValueError("order must be >= 0")
         p, q = self.p, self.q
-        e0 = self.conformal_weight(label) - self.central_charge() / 24
-        target = e0 + order  # inclusive
-        theta_bound = _ceil(target + Fraction(1, 24)) + 2
-        n = order + 2
-        theta = theta_null(p * q, p * r - q * s, theta_bound) - theta_null(
-            p * q, p * r + q * s, theta_bound
+        return _character(
+            lambda bound: theta_null(p * q, p * r - q * s, bound)
+            - theta_null(p * q, p * r + q * s, bound),
+            euler_parts=((-1, -1),),
+            eta_den=24,
+            target=self.conformal_weight(label) - self.central_charge() / 24 + order,
+            order=order,
         )
-        eta_inv = euler_product(-1, -1, n)
-        pref = monomial(1, -1, 24, 24 * (theta_bound + n) + 1)
-        out = theta * eta_inv * pref
-        if out.order_exponent <= target:
-            raise RuntimeError("internal truncation bookkeeping error")
-        return out
 
 
 def _triple_ok(xs: tuple[int, int, int], cap: int) -> bool:
@@ -191,12 +189,12 @@ def _triple_ok(xs: tuple[int, int, int], cap: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _fuse(p, q, t1, t2):
-    """Canonical (r, s) pairs of the su(2)_{q-2} x su(2)_{p-2} product, sorted."""
+    """Canonical labels of the su(2)_{q-2} x su(2)_{p-2} product, sorted."""
     (r1, s1), (r2, s2) = t1, t2
     return tuple(
         sorted(
             {
-                min((r, s), (q - r, p - s))
+                KacLabel(*min((r, s), (q - r, p - s)))
                 for r in range(abs(r1 - r2) + 1, min(r1 + r2, 2 * q - r1 - r2), 2)
                 for s in range(abs(s1 - s2) + 1, min(s1 + s2, 2 * p - s1 - s2), 2)
             }

@@ -11,7 +11,10 @@ of returning zero.  Products never multiply a pair landing past that bound.
 The module also provides the handful of special series every character in
 this package is assembled from: plain monomial prefactors, Euler products
 ``prod (1 +- q^n)^e``, theta null sums ``sum_m q^(a(m+b/2a)^2)`` and their
-linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)``.
+linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)``, and the private
+assembly ``_character`` that the minimal and affine characters share: theta
+numerator times Euler factors times ``q^(-1/24)`` or ``q^(-1/8)``, truncated
+so that it is exact through the requested order.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -341,28 +344,16 @@ def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
     return FracSeries._from_terms(1, 0, n + 1, enumerate(a))
 
 
-def _quadratic_terms(coeff_of_m, exponent_of_m, bound: Fraction):
-    """All (exponent, weight) with exponent < bound for a quadratic exponent.
-
-    exponent_of_m(m) must be a convex quadratic; m is scanned outwards in
-    both directions from 0 until the exponent leaves the bound, which never
-    skips an admissible m.
-    """
-    out = []
-    for step in (1, -1):
-        m = 0 if step == 1 else -1
-        while True:
-            e = exponent_of_m(m)
-            if e >= bound:
-                # past the vertex the exponent only grows; before it, keep going
-                if (step == 1 and exponent_of_m(m + 1) >= e) or (
-                    step == -1 and exponent_of_m(m - 1) >= e
-                ):
-                    break
-            else:
-                out.append((e, coeff_of_m(m)))
-            m += step
-    return out
+def _theta(modulus: int, residue: int, scale: Fraction, order: int, weight) -> FracSeries:
+    """``sum_{n = residue mod modulus} weight(n) * q**(scale*n**2)`` exact below order."""
+    top = isqrt(_ceil(order / scale))
+    start = -top + (residue + top) % modulus
+    terms = [
+        (e, weight(n))
+        for n in range(start, top + 1, modulus)
+        if (e := scale * (n * n)) < order
+    ]
+    return series_from_terms(terms, order)
 
 
 def theta_null(a: int, b: int, order: int) -> FracSeries:
@@ -375,13 +366,7 @@ def theta_null(a: int, b: int, order: int) -> FracSeries:
         raise ValueError("a must be >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    bound = Fraction(order)
-    terms = _quadratic_terms(
-        lambda m: 1,
-        lambda m: Fraction((2 * a * m + b) ** 2, 4 * a),
-        bound,
-    )
-    return series_from_terms(terms, bound)
+    return _theta(2 * a, b, Fraction(1, 4 * a), order, lambda n: 1)
 
 
 def weighted_theta(a: int, b: int, c: Fraction | int, order: int) -> FracSeries:
@@ -393,10 +378,23 @@ def weighted_theta(a: int, b: int, c: Fraction | int, order: int) -> FracSeries:
         raise ValueError("c must be positive")
     if order < 1:
         raise ValueError("order must be >= 1")
-    bound = Fraction(order)
-    terms = _quadratic_terms(
-        lambda m: a * m + b,
-        lambda m: c * (a * m + b) ** 2 / a**2,
-        bound,
-    )
-    return series_from_terms(terms, bound)
+    return _theta(a, b, c / a**2, order, lambda n: n)
+
+
+def _character(theta_at, euler_parts, eta_den: int, target: Fraction, order: int) -> FracSeries:
+    """Graded dimension ``theta * prod (1 +- q^n)^e / q^(1/eta_den)``, exact past target.
+
+    ``theta_at(bound)`` builds the theta numerator exact below exponent bound;
+    the bound leaves room for the q^(-1/eta_den) shift and the Euler factors,
+    each kept through q^(order+2).  ``target`` is the inclusive exponent the
+    caller needs exact; falling short of it is a bookkeeping error.
+    """
+    out = theta_at(_ceil(target + Fraction(1, eta_den)) + 2)
+    n = order + 2
+    for sign, e in euler_parts:
+        out = out * euler_product(sign, e, n)
+    span = out.order - out.lowest
+    out = out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
+    if out.order_exponent <= target:
+        raise RuntimeError("internal truncation bookkeeping error")
+    return out

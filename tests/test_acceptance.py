@@ -19,6 +19,7 @@ from cosetchar.affine import (
     osp_central_charge,
     osp_character,
     osp_modules,
+    osp_weight,
     singular_weights,
 )
 from cosetchar.extension import (
@@ -265,4 +266,8 @@ def test_criterion_8_oracle_properties():
             for lab in osp_modules(l):
                 even = branch_character(l, lab.r, "even", 20)
                 odd = branch_character(l, lab.r, "odd", 20)
-                assert even + odd == osp_character(lab, 20), (l, lab.r)
+                total = osp_character(lab, 20)
+                top = osp_weight(l, lab.r) - osp_central_charge(l) / 24 + 20
+                assert (even + odd).order_exponent > top, (l, lab.r)
+                assert total.order_exponent > top, (l, lab.r)
+                assert even + odd == total, (l, lab.r)

@@ -97,7 +97,12 @@ def test_branching_completeness():
 
 
 def test_branch_character_both_equals_osp():
-    assert branch_character(2, 3, "both", 12) == osp_character(OspLabel(2, 3), 12)
+    branch = branch_character(2, 3, "both", 12)
+    osp = osp_character(OspLabel(2, 3), 12)
+    # == compares only the common known region: both must reach past the range
+    top = osp_weight(2, 3) - osp_central_charge(2) / 24 + 12
+    assert branch.order_exponent > top and osp.order_exponent > top
+    assert branch == osp
 
 
 def test_character_coefficients_nonneg_integers():

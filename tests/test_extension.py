@@ -16,7 +16,7 @@ from cosetchar.extension import (
     simple_current_image,
     tensor_fusion_dim,
 )
-from cosetchar.minimal import KacLabel
+from cosetchar.minimal import KacLabel, ModuleSum
 
 L = KacLabel
 
@@ -201,3 +201,63 @@ def test_fusion_table_deterministic_json():
     assert table[0]["a"] == [1, 1] and table[0]["b"] == [1, 1]
     assert table[0]["result"] == [{"r": 1, "s": 1, "mult": 1}]
     assert json.dumps(table) == json.dumps(fusion_table())
+
+
+# (class, three keys in ascending order, two keys that fold together under
+# ExtModuleSum: a Kac pair for ModuleSum, an orbit pair for ExtModuleSum)
+MULTISETS = [
+    pytest.param(ModuleSum, (L(1, 1), L(2, 3), L(3, 5)), (L(1, 2), L(6, 8)), id="ModuleSum"),
+    pytest.param(
+        ExtModuleSum,
+        (ExtLabel(1, 1), ExtLabel(2, 3), ExtLabel(3, 5)),
+        (ExtLabel(1, 2), ExtLabel(1, 8)),
+        id="ExtModuleSum",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, keys, twins", MULTISETS)
+def test_multiset_rejects_negative_multiplicities(cls, keys, twins):
+    with pytest.raises(ValueError):
+        cls({keys[0]: -1, keys[1]: 2})
+    # a fold that would cancel the negative entry must not hide it
+    with pytest.raises(ValueError):
+        cls({twins[0]: -1, twins[1]: 2})
+
+
+@pytest.mark.parametrize("cls, keys, twins", MULTISETS)
+def test_multiset_drops_zeros_and_sorts_keys(cls, keys, twins):
+    a, b, c = keys
+    ms = cls({c: 1, a: 0, b: 2})
+    assert list(ms) == [(b, 2), (c, 1)]
+    assert len(ms) == 2 and ms[a] == 0 and ms[b] == 2
+
+
+@pytest.mark.parametrize("cls, keys, twins", MULTISETS)
+def test_multiset_equals_dict(cls, keys, twins):
+    a, b, _ = keys
+    assert cls({b: 2, a: 1}) == {a: 1, b: 2}
+    assert cls({b: 2}) == {b: 2, a: 0}
+    assert cls({b: 2}) != {b: 1}
+    assert cls({}) == {}
+
+
+@pytest.mark.parametrize("cls, keys, twins", MULTISETS)
+def test_multiset_repr_names_its_class(cls, keys, twins):
+    a, _, c = keys
+    assert repr(cls({c: 1, a: 2})) == f"<{cls.__name__} 2*{a} + {c}>"
+    assert repr(cls({})) == f"<{cls.__name__} 0>"
+
+
+def test_ext_module_sum_folds_orbits():
+    ms = ExtModuleSum({ExtLabel(1, 2): 1, ExtLabel(1, 8): 2})
+    assert list(ms) == [(ExtLabel(1, 2), 3)]
+    assert ms[ExtLabel(1, 8)] == 3 and ms[ExtLabel(1, 2)] == 3
+    assert ms == {ExtLabel(1, 8): 3}
+
+
+def test_module_sum_never_equals_ext_module_sum():
+    mults = {ExtLabel(1, 1): 1, ExtLabel(2, 3): 2}
+    assert ModuleSum(mults) != ExtModuleSum(mults)
+    assert ExtModuleSum(mults) != ModuleSum(mults)
+    assert ModuleSum({}) != ExtModuleSum({})

@@ -265,7 +265,10 @@ def test_character_coefficients_nonneg_integers():
 def test_character_kac_symmetric():
     for lab in [L(2, 3), L(1, 5), L(3, 1)]:
         partner = M107.kac_partner(lab)
-        assert M107.character(lab, 12) == M107.character(partner, 12)
+        ch, ch_partner = M107.character(lab, 12), M107.character(partner, 12)
+        top = M107.conformal_weight(lab) - M107.central_charge() / 24 + 12
+        assert ch.order_exponent > top and ch_partner.order_exponent > top, lab
+        assert ch == ch_partner
 
 
 def test_vacuum_character_counts_vacuum_module_states():
@@ -274,6 +277,13 @@ def test_vacuum_character_counts_vacuum_module_states():
     e0 = F(-1, 105)
     dims = [ch.coeff(e0 + k) for k in range(7)]
     assert dims == [1, 0, 1, 1, 2, 2, 4]
+
+
+def test_kac_label_sorts_by_r_then_s_and_prints_pair():
+    labels = [L(2, 1), L(1, 9), L(1, 2), L(3, 5)]
+    assert sorted(labels) == [L(1, 2), L(1, 9), L(2, 1), L(3, 5)]
+    assert str(L(3, 5)) == "(3,5)"
+    assert [str(lab) for lab in sorted(labels)] == ["(1,2)", "(1,9)", "(2,1)", "(3,5)"]
 
 
 def test_csv_export():

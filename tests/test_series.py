@@ -205,12 +205,23 @@ def test_theta_null_m_scan_matches_wide_brute_force(a, b, bound):
     assert {e: c for e, c in s.nonzero_terms()} == {
         e: F(c) for e, c in expected.items() if c
     }
+    _assert_coarsest_lattice_and_bound(s, expected, bound)
 
 
-@given(a=st.integers(1, 30), b=st.integers(-60, 60), bound=st.integers(1, 40))
+def _assert_coarsest_lattice_and_bound(s, expected, bound):
+    """den is the lcm of the nonzero exponents' denominators; exact exactly below bound."""
+    assert s.den == lcm(1, *(e.denominator for e, v in expected.items() if v))
+    assert s.order_exponent == bound
+
+
+@given(
+    a=st.integers(1, 30),
+    b=st.integers(-60, 60),
+    c=st.sampled_from([F(3, 2), F(1, 8), F(2, 5), F(7, 8), F(1), F(5, 3), F(9, 4)]),
+    bound=st.integers(1, 40),
+)
 @settings(max_examples=60, deadline=None)
-def test_weighted_theta_m_scan_matches_wide_brute_force(a, b, bound):
-    c = F(3, 2)
+def test_weighted_theta_m_scan_matches_wide_brute_force(a, b, c, bound):
     expected = {}
     for m in range(-300, 301):
         e = c * (a * m + b) ** 2 / a**2
@@ -220,6 +231,7 @@ def test_weighted_theta_m_scan_matches_wide_brute_force(a, b, bound):
     assert {e: cf for e, cf in s.nonzero_terms()} == {
         e: F(v) for e, v in expected.items() if v
     }
+    _assert_coarsest_lattice_and_bound(s, expected, bound)
 
 
 def test_weighted_theta_term_values():
