@@ -127,7 +127,7 @@ def _json_rat(c: Fraction):
 
 
 def _coeff_row(series: FracSeries, order: int) -> tuple[Fraction, ...]:
-    return tuple(series.coeff(BASE_EXPONENT + k) for k in range(order + 1))
+    return series.coeff_row(BASE_EXPONENT, order + 1)
 
 
 # -- central charge ---------------------------------------------------------
@@ -157,10 +157,11 @@ def verify_central_charge() -> VerificationReport:
 @lru_cache(maxsize=8)
 def _summand_series(order: int) -> tuple[tuple[str, FracSeries], ...]:
     out = []
-    for osp_lab, vir_lab in COSET_DECOMPOSITION.rows():
-        name = f"ch[M{osp_lab.r}]*ch[V{vir_lab}]" if osp_lab.r != 1 else f"ch[L(2,0)]*ch[V{vir_lab}]"
-        series = osp_character(osp_lab, order) * COSET_MODEL.character(vir_lab, order)
-        out.append((name, series))
+    for osp_lab, vir_labels in COSET_DECOMPOSITION.pairings:
+        base = f"M{osp_lab.r}" if osp_lab.r != 1 else "L(2,0)"
+        osp = osp_character(osp_lab, order)
+        for vir_lab in vir_labels:
+            out.append((f"ch[{base}]*ch[V{vir_lab}]", osp * COSET_MODEL.character(vir_lab, order)))
     return tuple(out)
 
 

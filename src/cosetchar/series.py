@@ -13,8 +13,13 @@ this package is assembled from: plain monomial prefactors, Euler products
 ``prod (1 +- q^n)^e``, theta null sums ``sum_m q^(a(m+b/2a)^2)`` and their
 linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)``, and the private
 assembly ``_character`` that the minimal and affine characters share: theta
-numerator times Euler factors times ``q^(-1/24)`` or ``q^(-1/8)``, truncated
-so that it is exact through the requested order.
+numerator times one combined Euler factor times ``q^(-1/24)`` or
+``q^(-1/8)``, truncated so that it is exact through the requested order.
+Logarithmic derivatives add, so a product of several Euler products comes
+from a single recurrence (``_euler``), cached per parts list and length.
+:meth:`FracSeries.coeff_row` reads a whole row of integer-spaced
+coefficients in one pass, and :func:`equal_through` compares two series
+only where both are known.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import json
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -35,6 +41,7 @@ __all__ = [
     "theta_null",
     "weighted_theta",
     "series_from_terms",
+    "equal_through",
 ]
 
 _ZERO = Fraction(0)
@@ -124,11 +131,7 @@ class FracSeries:
         an unknown coefficient is never reported as zero.
         """
         e = Fraction(num, den) if not isinstance(num, Fraction) else num / den
-        if e >= self.order_exponent:
-            raise ValueError(
-                f"coefficient of q^{e} requested, but series is only exact "
-                f"below q^{self.order_exponent}"
-            )
+        self._require_known(e)
         scaled = e * self.den
         if scaled.denominator != 1:
             return _ZERO
@@ -137,6 +140,38 @@ class FracSeries:
         if k < len(self.terms) and self.terms[k][0] == pos:
             return Fraction(self.terms[k][1])
         return _ZERO
+
+    def coeff_row(self, start: Fraction | int, count: int) -> tuple[Fraction, ...]:
+        """Exact coefficients of ``q**(start + k)``, k = 0 .. count-1, in one pass.
+
+        The same values as ``coeff(start + k)`` for each k, and the same
+        ValueError when the last exponent lies at or beyond the bound.  All
+        zeros when start is off the series' exponent lattice.
+        """
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        start = Fraction(start)
+        if count:
+            self._require_known(start + count - 1)
+        out = [_ZERO] * count
+        scaled = start * self.den
+        if scaled.denominator != 1:
+            return tuple(out)
+        first, stop = scaled.numerator, scaled.numerator + count * self.den
+        for p, c in islice(self.terms, bisect_left(self.terms, (first,)), None):
+            if p >= stop:
+                break
+            k, off = divmod(p - first, self.den)
+            if not off:
+                out[k] = Fraction(c)
+        return tuple(out)
+
+    def _require_known(self, e: Fraction) -> None:
+        if e >= self.order_exponent:
+            raise ValueError(
+                f"coefficient of q^{e} requested, but series is only exact "
+                f"below q^{self.order_exponent}"
+            )
 
     # -- representation changes -----------------------------------------
 
@@ -321,23 +356,37 @@ def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
 
     sign is +1 or -1.  Factors beyond N only touch exponents > N, so the
     retained coefficients 0..N are the coefficients of the full infinite
-    product.  They come from the logarithmic-derivative recurrence
-    ``n a_n = sum_{k=1..n} g(k) a_{n-k}`` with ``g(k) = -e sigma(k)`` for
-    ``(1-q^n)^e`` and ``g(k) = e (sigma(k) - 2 sigma(k/2))`` for
-    ``(1+q^n)^e``, where sigma is the divisor sum (zero off the integers).
+    product.  They come from the recurrence in ``_euler``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    n = n_terms
+    return _euler(((sign, exponent),), n_terms)
+
+
+@lru_cache(maxsize=32)
+def _euler(parts: tuple[tuple[int, int], ...], n: int) -> FracSeries:
+    """``prod_{(sign, e) in parts} prod_{m=1..n} (1 + sign*q^m)**e`` exact through q^n.
+
+    Logarithmic-derivative recurrence ``n a_n = sum_{k=1..n} g(k) a_{n-k}``,
+    where g is the sum of the parts' own: ``g(k) = -e sigma(k)`` for
+    ``(1-q^m)^e`` and ``g(k) = e (sigma(k) - 2 sigma(k/2))`` for
+    ``(1+q^m)^e``, with sigma the divisor sum (zero off the integers).  So a
+    product of several Euler products costs one recurrence, not several
+    dense series products.
+    """
     sigma = [0] * (n + 1)
     for k in range(1, n + 1):
         for m in range(k, n + 1, k):
             sigma[m] += k
-    g = [-exponent * s for s in sigma] if sign == -1 else [
-        exponent * (s - (0 if k % 2 else 2 * sigma[k // 2])) for k, s in enumerate(sigma)
-    ]
+    g = [0] * (n + 1)
+    for sign, e in parts:
+        for k in range(1, n + 1):
+            if sign == -1:
+                g[k] -= e * sigma[k]
+            else:
+                g[k] += e * (sigma[k] - (0 if k % 2 else 2 * sigma[k // 2]))
     a = [1] + [0] * n
     for m in range(1, n + 1):
         a[m] = sum(map(mul, g[1 : m + 1], a[m - 1 :: -1])) // m
@@ -381,18 +430,39 @@ def weighted_theta(a: int, b: int, c: Fraction | int, order: int) -> FracSeries:
     return _theta(a, b, c / a**2, order, lambda n: n)
 
 
+def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
+    """True iff a and b have the same coefficient at every exponent <= bound.
+
+    Raises ValueError unless both series are exact through bound, so the
+    comparison never passes on a region that one side does not know (``==``
+    compares only the common known region).
+    """
+    bound = Fraction(bound)
+    for s in (a, b):
+        s._require_known(bound)
+    d = lcm(a.den, b.den)
+    top = bound.numerator * d // bound.denominator
+    fa, fb = d // a.den, d // b.den
+    return [(p * fa, c) for p, c in a.terms if p * fa <= top] == [
+        (p * fb, c) for p, c in b.terms if p * fb <= top
+    ]
+
+
 def _character(theta_at, euler_parts, eta_den: int, target: Fraction, order: int) -> FracSeries:
     """Graded dimension ``theta * prod (1 +- q^n)^e / q^(1/eta_den)``, exact past target.
 
-    ``theta_at(bound)`` builds the theta numerator exact below exponent bound;
-    the bound leaves room for the q^(-1/eta_den) shift and the Euler factors,
-    each kept through q^(order+2).  ``target`` is the inclusive exponent the
-    caller needs exact; falling short of it is a bookkeeping error.
+    ``theta_at(bound)`` builds the theta numerator exact below exponent bound.
+    ``euler_parts`` lists the ``(sign, e)`` of every Euler factor; all of them
+    come as one series from one ``_euler`` recurrence, kept through
+    q^(order+2) and shared by every character with the same parts and order.
+    ``target`` is the inclusive exponent the caller needs exact; falling
+    short of it is a bookkeeping error.  The theta bound is the shifted
+    target rounded up, plus a margin of 2: when ``target + 1/eta_den`` is an
+    integer (sl2 L(7,5), for one) a margin of 0 would leave the character
+    exact only below target.  The margin stays at 2 because it sets every
+    character's ``order``, which the Python API exposes.
     """
-    out = theta_at(_ceil(target + Fraction(1, eta_den)) + 2)
-    n = order + 2
-    for sign, e in euler_parts:
-        out = out * euler_product(sign, e, n)
+    out = theta_at(_ceil(target + Fraction(1, eta_den)) + 2) * _euler(euler_parts, order + 2)
     span = out.order - out.lowest
     out = out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
     if out.order_exponent <= target:

@@ -23,6 +23,7 @@ from cosetchar.affine import (
     sl2_weight,
 )
 from cosetchar.minimal import KacLabel, MinimalModel
+from cosetchar.series import equal_through
 
 F = Fraction
 L = KacLabel
@@ -86,6 +87,18 @@ def test_sl2_level_one_vacuum_graded_dims():
     assert dims == [1, 3, 4, 7, 13, 19, 29, 43]
 
 
+def test_sl2_character_exact_at_target_when_shifted_target_is_integral():
+    # L(7,5): target + 1/8 = n + 1, so a theta numerator cut at the shifted
+    # target itself would leave the character exact only below target; the
+    # margin in the theta bound must be at least 1
+    lab = Sl2Label(7, 5)
+    deep = sl2_character(lab, 12)
+    for n in range(8):
+        target = sl2_weight(lab) - sl2_central_charge(7) / 24 + n
+        assert (target + F(1, 8)).denominator == 1
+        assert sl2_character(lab, n).coeff(target) == deep.coeff(target), n
+
+
 def test_branching_completeness():
     # even + odd = full character, computed along two independent routes
     for l in (1, 2):
@@ -99,10 +112,8 @@ def test_branching_completeness():
 def test_branch_character_both_equals_osp():
     branch = branch_character(2, 3, "both", 12)
     osp = osp_character(OspLabel(2, 3), 12)
-    # == compares only the common known region: both must reach past the range
     top = osp_weight(2, 3) - osp_central_charge(2) / 24 + 12
-    assert branch.order_exponent > top and osp.order_exponent > top
-    assert branch == osp
+    assert equal_through(branch, osp, top)
 
 
 def test_character_coefficients_nonneg_integers():

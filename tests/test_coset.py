@@ -13,6 +13,10 @@ from cosetchar.coset import (
     verify_decomposition,
     verify_even_refinement,
 )
+from cosetchar.affine import OspLabel, osp_central_charge, osp_weight
+from cosetchar.cli import DEFAULT_MAX_ORDER
+from cosetchar.minimal import MinimalModel
+from cosetchar.series import _ceil, euler_product, monomial, theta_null, weighted_theta
 
 F = Fraction
 
@@ -80,6 +84,54 @@ def test_decomposition_passes_at_every_order_up_to_30():
         report = verify_decomposition(order)
         assert report.passed, order
         assert len(report.comparisons) == order + 1
+
+
+def _separate_factor_character(numerator, euler_parts, eta_den, target, order):
+    """Theta numerator times one euler_product per factor, then q^(-1/eta_den)."""
+    out = numerator(_ceil(target + F(1, eta_den)) + 2)
+    for sign, e in euler_parts:
+        out = out * euler_product(sign, e, order + 2)
+    span = out.order - out.lowest
+    return out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
+
+
+def _separate_osp(lab, order):
+    a = 2 * lab.l + 3
+    return _separate_factor_character(
+        lambda bound: weighted_theta(2 * a, lab.r, F(a, 2), bound),
+        ((1, 2), (-1, -3)), 24,
+        osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24 + order, order,
+    )
+
+
+def _separate_vir(model, lab, order):
+    (p, q), (r, s) = (model.p, model.q), lab
+    return _separate_factor_character(
+        lambda bound: theta_null(p * q, p * r - q * s, bound)
+        - theta_null(p * q, p * r + q * s, bound),
+        ((-1, -1),), 24,
+        model.conformal_weight(lab) - model.central_charge() / 24 + order, order,
+    )
+
+
+def test_decomposition_at_cli_cap_matches_separate_factor_route():
+    # every row at the CLI cap against characters assembled with separate
+    # Euler factors, one osp character per row, read one coefficient at a time
+    order = DEFAULT_MAX_ORDER
+    report = verify_decomposition(order)
+    assert report.passed
+
+    def row(series):
+        return tuple(series.coeff(BASE_EXPONENT + k) for k in range(order + 1))
+
+    model = MinimalModel(10, 7)
+    summands = [
+        row(_separate_osp(osp_lab, order) * _separate_vir(model, vir_lab, order))
+        for osp_lab, vir_lab in COSET_DECOMPOSITION.rows()
+    ]
+    one = _separate_osp(OspLabel(1, 1), order)
+    expected = summands + [row(one * one), tuple(map(sum, zip(*summands)))]
+    assert [coeffs for _, coeffs in report.rows] == expected
 
 
 def test_column_sums_recomputed_not_copied():

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cosetchar.series import (
     FracSeries,
+    _euler,
+    equal_through,
     euler_product,
     monomial,
     series_from_terms,
@@ -264,6 +267,96 @@ def test_coeff_off_lattice_is_zero():
     assert s.coeff(1, 2) == 7
 
 
+def test_coeff_row_bound_and_lattice():
+    s = FracSeries(2, -1, [1, 0, 3, 0, 5])  # q^(-1/2) + 3 q^(1/2) + 5 q^(3/2), exact below q^2
+    assert s.coeff_row(F(-1, 2), 2) == (1, 3)
+    assert s.coeff_row(F(-1, 2), 3) == (1, 3, 5)  # last exponent 3/2, one step below the bound
+    with pytest.raises(ValueError):
+        s.coeff_row(F(0), 3)                      # last exponent 2 is the bound itself
+    assert s.coeff_row(F(1, 3), 1) == (0,)        # off the lattice
+    assert s.coeff_row(F(-5, 2), 3) == (0, 0, 1)  # below lowest
+    assert s.coeff_row(7, 0) == ()                # nothing asked, nothing unknown
+    with pytest.raises(ValueError):
+        s.coeff_row(0, -1)
+
+
+def _coeff_row_or_error(s, start, count):
+    try:
+        return s.coeff_row(start, count)
+    except ValueError:
+        return ValueError
+
+
+def _coeffs_or_error(s, start, count):
+    try:
+        return tuple(s.coeff(start + k) for k in range(count))
+    except ValueError:
+        return ValueError
+
+
+def test_coeff_row_matches_coeff_on_a_grid():
+    dense = theta_null(3, 1, 6) * euler_product(-1, -2, 8)  # den 12, exact below q^6
+    for s in (dense, dense.scaled(F(1, 3)), FracSeries(5, -7, [0, 2, 0, 0, 0, 0, -1])):
+        lo = s.lowest // s.den - 2
+        top = s.order // s.den + 2
+        for num in range(lo * 60, top * 60):
+            start = F(num, 60)  # on and off both lattices
+            for count in range(0, 9):
+                expected = _coeffs_or_error(s, start, count)
+                assert _coeff_row_or_error(s, start, count) == expected, (start, count)
+
+
+@st.composite
+def row_request(draw):
+    """A series and a (start, count) read, often ending on or just below the bound."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 30]))
+    lowest = draw(st.integers(-12, 12))
+    entry = st.one_of(st.integers(-5, 5), small_fracs)
+    s = FracSeries(den, lowest, draw(st.lists(entry, min_size=0, max_size=14)))
+    count = draw(st.integers(0, 8))
+    back = draw(st.one_of(
+        st.sampled_from([0, 1]),  # last exponent exactly on the bound / one step below
+        st.fractions(-2, 8, max_denominator=12),
+    ))
+    start = s.order_exponent - max(count - 1, 0) - back
+    return s, draw(st.one_of(
+        st.just(start),
+        st.integers(-3, 14).map(lambda j: F(lowest + j, den)),  # on the lattice, in range
+        st.fractions(-8, 8, max_denominator=60),
+    )), count
+
+
+@given(req=row_request())
+@settings(max_examples=200, deadline=None)
+def test_coeff_row_matches_coeff(req):
+    s, start, count = req
+    row = _coeff_row_or_error(s, start, count)
+    assert row == _coeffs_or_error(s, start, count)
+    assert row is ValueError or all(type(c) is F for c in row)
+
+
+# --- strict comparison --------------------------------------------------------
+
+def test_equal_through_refuses_unknown_region():
+    short, long = FracSeries(1, 0, []), FracSeries(1, 0, [1, 2, 3])
+    assert short == long  # == compares only the common known region
+    with pytest.raises(ValueError):
+        equal_through(short, long, 0)
+    with pytest.raises(ValueError):
+        equal_through(long, short, 0)
+
+
+def test_equal_through_is_inclusive_on_mixed_lattices():
+    a = FracSeries(1, 0, [1, 2, 3, 0])       # exact below q^4
+    b = FracSeries(2, 0, [1, 0, 2, 5, 4])    # 1 + 2q + 5q^(3/2) + 4q^2, exact below q^(5/2)
+    assert equal_through(a, b, 1)
+    assert not equal_through(a, b, F(3, 2))  # b has 5 q^(3/2), a has nothing there
+    assert not equal_through(a, b, 2)
+    with pytest.raises(ValueError):
+        equal_through(a, b, F(5, 2))
+    assert equal_through(b, b, F(12, 5))
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_json_round_trip_exact():
@@ -405,6 +498,33 @@ def test_euler_recurrence_matches_binomial_expansion(sign, exponent):
         s = euler_product(sign, exponent, n)
         assert (s.den, s.lowest, s.order) == (1, 0, n + 1)
         assert s.coeffs == tuple(expected[: n + 1]), n
+
+
+def test_combined_euler_matches_product_of_single_factors():
+    factors = [(sign, e) for sign in (1, -1) for e in range(-4, 4)]
+    # the recurrence is symmetric in the parts, so every multiset stands for
+    # all its orderings; the reversed order is checked as well
+    for size in (1, 2, 3):
+        for parts in combinations_with_replacement(factors, size):
+            full = euler_product(*parts[0], 60)
+            for sign, e in parts[1:]:
+                full = full * euler_product(sign, e, 60)
+            for n in (1, 2, 7, 60):
+                s = _euler(parts, n)
+                t = full.truncate(n + 1)
+                assert (s.den, s.lowest, s.order, s.terms) == (1, 0, n + 1, t.terms), (parts, n)
+            assert _euler(parts[::-1], 60).terms == full.terms, parts
+
+
+def test_combined_euler_every_length():
+    # the factors of the osp(1|2) and sl2 characters, at every length up to 60
+    for parts in (((1, 2), (-1, -3)), ((-1, -3),), ((1, -4), (1, 3), (-1, 2))):
+        for n in range(1, 61):
+            full = euler_product(*parts[0], n)
+            for sign, e in parts[1:]:
+                full = full * euler_product(sign, e, n)
+            s = _euler(parts, n)
+            assert (s.den, s.lowest, s.order, s.terms) == (1, 0, n + 1, full.terms), (parts, n)
 
 
 class DenseSeries:
