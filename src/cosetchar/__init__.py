@@ -58,7 +58,6 @@ from .extension import (
     ext_label,
     fusion_table,
     simple_current_image,
-    tensor_fusion_dim,
 )
 from .minimal import KacLabel, MinimalModel, ModuleSum, kac_table_csv
 from .series import (

@@ -192,6 +192,8 @@ def branch_character(l: int, r: int, parity: Parity = "both", order: int = 20) -
     With parity "both" this recomputes the full M_r character along the
     branching route, independently of osp_character's closed form.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     model = branch_model(l)
     total = None
     for term in branch_terms(l, r, parity):

@@ -11,6 +11,12 @@ where V(r,s) are the irreducible modules of the (10,7) minimal model.  Every
 check here compares exact rational q-expansions of both sides, computed along
 independent routes; nothing is floating point and no coefficient is copied
 from one side to the other.
+
+``COSET_DECOMPOSITION`` writes this table down once.  Every product row comes
+from one builder that walks its pairings: the level-2 factor of each pairing
+is the osp character for the plain table and one parity part of it (along
+the sl2 x Virasoro branching) for the even/odd refinement.  The singular
+ladder reads its pairing from the same table.
 """
 
 from __future__ import annotations
@@ -154,21 +160,29 @@ def verify_central_charge() -> VerificationReport:
 # -- main decomposition -------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _summand_series(order: int) -> tuple[tuple[str, FracSeries], ...]:
+def _products(order: int, level2, parity: str = "") -> list[tuple[str, FracSeries]]:
+    """The six labelled products ch[level-2 factor] * ch[V] of the decomposition.
+
+    ``level2(osp_lab)`` builds the level-2 factor of one pairing, once; it
+    multiplies the Virasoro character of every module paired with it.
+    ``parity`` tags the factor in the row label.
+    """
     out = []
     for osp_lab, vir_labels in COSET_DECOMPOSITION.pairings:
+        factor = level2(osp_lab)
         base = f"M{osp_lab.r}" if osp_lab.r != 1 else "L(2,0)"
-        osp = osp_character(osp_lab, order)
         for vir_lab in vir_labels:
-            out.append((f"ch[{base}]*ch[V{vir_lab}]", osp * COSET_MODEL.character(vir_lab, order)))
-    return tuple(out)
+            out.append((f"ch[{base}{parity}]*ch[V{vir_lab}]",
+                        factor * COSET_MODEL.character(vir_lab, order)))
+    return out
 
 
 @lru_cache(maxsize=8)
-def _target_series(order: int) -> FracSeries:
+def _summand_series(order: int) -> tuple[tuple[str, FracSeries], ...]:
+    """The six products, then the tensor square ch[L(1,0)]^2 they must sum to."""
     ch = osp_character(OspLabel(1, 1), order)
-    return ch * ch
+    products = _products(order, lambda osp_lab: osp_character(osp_lab, order))
+    return (*products, ("ch[L(1,0)^2]", ch * ch))
 
 
 def verify_decomposition(
@@ -183,8 +197,9 @@ def verify_decomposition(
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    summands = [(name, list(_coeff_row(s, order))) for name, s in _summand_series(order)]
-    target = _coeff_row(_target_series(order), order)
+    *products, (target_name, square) = _summand_series(order)
+    summands = [(name, list(_coeff_row(s, order))) for name, s in products]
+    target = _coeff_row(square, order)
     notes = ()
     if perturb is not None:
         row, col, delta = perturb
@@ -200,7 +215,7 @@ def verify_decomposition(
         Comparison(BASE_EXPONENT + k, target[k], col_sums[k]) for k in range(order + 1)
     )
     rows = tuple((name, tuple(vals)) for name, vals in summands) + (
-        ("ch[L(1,0)^2]", target),
+        (target_name, target),
         ("column sums", col_sums),
     )
     return VerificationReport(
@@ -251,23 +266,6 @@ _ODD_REFERENCE: dict[str, list[int]] = {
 MAX_REFINEMENT_ORDER = 10
 
 
-def _parity_rows(order: int, parity: str):
-    """Six refined products and the refined target for one parity."""
-    products = []
-    for osp_lab, vir_lab in COSET_DECOMPOSITION.rows():
-        part = branch_character(2, osp_lab.r, parity, order)
-        prod = part * COSET_MODEL.character(vir_lab, order)
-        base = f"M{osp_lab.r}" if osp_lab.r != 1 else "L(2,0)"
-        products.append((f"ch[{base}{parity}]*ch[V{vir_lab}]", _coeff_row(prod, order)))
-    # parity parts of the square: even = e^2 + o^2, odd = 2 e o, where e and o
-    # are the parity parts of a single level-1 factor
-    e = branch_character(1, 1, "even", order)
-    o = branch_character(1, 1, "odd", order)
-    square = e * e + o * o if parity == "even" else (e * o).scaled(2)
-    target = (f"ch[L(1,0)^2 {parity}]", _coeff_row(square, order))
-    return products, target
-
-
 def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationReport:
     """Parity-refined expansions against reference data and their sum rules.
 
@@ -279,11 +277,21 @@ def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationRep
     if not 0 <= order <= MAX_REFINEMENT_ORDER:
         raise ValueError(f"order must lie in 0..{MAX_REFINEMENT_ORDER}")
     reference = {**_EVEN_REFERENCE, **_ODD_REFERENCE}
+    # parity parts of the square: even = e^2 + o^2, odd = 2 e o, where e and o
+    # are the parity parts of a single level-1 factor
+    e = branch_character(1, 1, "even", order)
+    o = branch_character(1, 1, "odd", order)
+    squares = {"even": e * e + o * o, "odd": (e * o).scaled(2)}
     comparisons: list[Comparison] = []
     rows: list[tuple[str, tuple[Fraction, ...]]] = []
     by_parity = {}
-    for parity in ("even", "odd"):
-        products, target = _parity_rows(order, parity)
+    for parity, square in squares.items():
+        products = [
+            (name, _coeff_row(s, order))
+            for name, s in _products(
+                order, lambda osp_lab: branch_character(2, osp_lab.r, parity, order), parity)
+        ]
+        target = (f"ch[L(1,0)^2 {parity}]", _coeff_row(square, order))
         by_parity[parity] = products + [target]
         rows.extend(products)
         rows.append(target)
@@ -318,17 +326,6 @@ def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationRep
 
 # -- singular-vector bookkeeping ---------------------------------------------
 
-# each multiplicity-space generator sits inside the module paired with it in
-# the decomposition; label (1,1) is the coset algebra's own vacuum sector
-_LADDER_PAIRING = {
-    KacLabel(1, 1): OspLabel(2, 1),
-    KacLabel(6, 1): OspLabel(2, 1),
-    KacLabel(3, 1): OspLabel(2, 3),
-    KacLabel(4, 1): OspLabel(2, 3),
-    KacLabel(2, 1): OspLabel(2, 5),
-    KacLabel(5, 1): OspLabel(2, 5),
-}
-
 
 def singular_ladder(order: int = 20) -> VerificationReport:
     """Candidate singular-vector weights and the columns that exclude them.
@@ -346,11 +343,13 @@ def singular_ladder(order: int = 20) -> VerificationReport:
     rows: list[tuple[str, tuple[Fraction, ...]]] = []
     comparisons: list[Comparison] = []
     notes: list[str] = []
-    for vir_lab in (KacLabel(1, 1), KacLabel(2, 1), KacLabel(3, 1),
-                    KacLabel(4, 1), KacLabel(5, 1), KacLabel(6, 1)):
+    # each multiplicity-space generator sits inside the module paired with it in
+    # the decomposition; label (1,1) is the coset algebra's own vacuum sector
+    pairing = {vir_lab: osp_lab for osp_lab, vir_lab in COSET_DECOMPOSITION.rows()}
+    for vir_lab in sorted(pairing):
         w1, w2 = singular_weights(COSET_MODEL, vir_lab)
         rows.append((f"candidates V{vir_lab}", (w1, w2)))
-        osp_lab = _LADDER_PAIRING[vir_lab]
+        osp_lab = pairing[vir_lab]
         h_m = osp_weight(osp_lab.l, osp_lab.r)
         for w in (w1, w2):
             exponent = h_m + w + BASE_EXPONENT

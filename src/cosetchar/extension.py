@@ -33,7 +33,6 @@ __all__ = [
     "classify_ext_modules",
     "ext_irreducibles",
     "ext_fuse",
-    "tensor_fusion_dim",
     "fusion_table",
 ]
 
@@ -83,17 +82,6 @@ class ExtLabel:
     def orbit(self) -> "ExtLabel":
         """Orbit representative: same module, s pulled into 1..5."""
         return ExtLabel(self.r, min(self.s, 10 - self.s))
-
-    @property
-    def duplicate_partner(self) -> "ExtLabel | None":
-        """The other presented label carrying the same module, if any.
-
-        (r, s) and (r, 10-s) restrict to identical constituent sums; only the
-        fixed points s = 5 have no twin in the presented list.
-        """
-        if self.s == 5:
-            return None
-        return ExtLabel(self.r, 10 - self.s)
 
     def __str__(self):
         return f"Ext({self.r},{self.s})"
@@ -154,6 +142,9 @@ def ext_fuse(
     orbit; multiplicities from the two members of one orbit add.  The choice
     of constituents (indices 0 or 1) does not change the result.
     """
+    for index in (constituent_a, constituent_b):
+        if index not in (0, 1):
+            raise ValueError(f"constituent index must be 0 or 1, got {index!r}")
     for lab in (a, b):
         if not (1 <= lab.r <= 3 and 1 <= lab.s <= 9):
             raise ValueError(f"{lab} is not an irreducible extended label")
@@ -166,13 +157,6 @@ def ext_fuse(
     va = a.constituents[constituent_a]
     vb = b.constituents[constituent_b]
     return ExtModuleSum({ExtLabel(lab.r, lab.s): m for lab, m in MODEL.fuse(va, vb)})
-
-
-def tensor_fusion_dim(d1: int, d2: int) -> int:
-    """Fusion dimensions of a tensor-product algebra multiply factorwise."""
-    if d1 < 0 or d2 < 0:
-        raise ValueError("fusion dimensions are nonnegative")
-    return d1 * d2
 
 
 def fusion_table() -> list[dict]:

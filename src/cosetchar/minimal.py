@@ -166,8 +166,6 @@ class MinimalModel:
         ``h - c/24 + order``.
         """
         r, s = self._check(label)
-        if order < 0:
-            raise ValueError("order must be >= 0")
         p, q = self.p, self.q
         return _character(
             lambda bound: theta_null(p * q, p * r - q * s, bound)

@@ -18,8 +18,10 @@ numerator times one combined Euler factor times ``q^(-1/24)`` or
 Logarithmic derivatives add, so a product of several Euler products comes
 from a single recurrence (``_euler``), cached per parts list and length.
 :meth:`FracSeries.coeff_row` reads a whole row of integer-spaced
-coefficients in one pass, and :func:`equal_through` compares two series
-only where both are known.
+coefficients in one pass.  ``==`` is strict: two series are equal only with
+the same exactness bound and the same nonzero terms.  :func:`equal_through`
+compares two series of any bounds through a given exponent, which both must
+know.
 """
 
 from __future__ import annotations
@@ -175,17 +177,6 @@ class FracSeries:
 
     # -- representation changes -----------------------------------------
 
-    def rescale(self, new_den: int) -> "FracSeries":
-        """Re-express on the finer lattice ``(1/new_den)Z``; must refine den."""
-        if new_den % self.den:
-            raise ValueError(f"{new_den} is not a multiple of denominator {self.den}")
-        f = new_den // self.den
-        if f == 1:
-            return self
-        # exactness bound carries over: old order/den == new order/new_den
-        pairs = ((p * f, c) for p, c in self.terms)
-        return FracSeries._from_terms(new_den, self.lowest * f, self.order * f, pairs)
-
     def reduced(self) -> "FracSeries":
         """Equivalent series on the coarsest lattice holding all nonzero terms."""
         if self.den == 1:
@@ -275,17 +266,15 @@ class FracSeries:
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        """Equal iff all coefficients match on the common known region."""
+        """Equal iff the exactness bounds and all nonzero terms are the same.
+
+        ``lowest`` is not part of the value.  To compare series with
+        different bounds on a prefix, use :func:`equal_through`.
+        """
         if not isinstance(other, FracSeries):
             return NotImplemented
-        d = lcm(self.den, other.den)
-        fa, fb = d // self.den, d // other.den
-        order = min(self.order * fa, other.order * fb)
-        return [(p * fa, c) for p, c in self.terms if p * fa < order] == [
-            (p * fb, c) for p, c in other.terms if p * fb < order
-        ]
-
-    __hash__ = None  # overlap equality is not hash-compatible
+        bound = self.order_exponent
+        return bound == other.order_exponent and _terms_equal_through(self, other, bound)
 
     # -- serialization ---------------------------------------------------
 
@@ -430,22 +419,27 @@ def weighted_theta(a: int, b: int, c: Fraction | int, order: int) -> FracSeries:
     return _theta(a, b, c / a**2, order, lambda n: n)
 
 
-def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
-    """True iff a and b have the same coefficient at every exponent <= bound.
-
-    Raises ValueError unless both series are exact through bound, so the
-    comparison never passes on a region that one side does not know (``==``
-    compares only the common known region).
-    """
-    bound = Fraction(bound)
-    for s in (a, b):
-        s._require_known(bound)
+def _terms_equal_through(a: FracSeries, b: FracSeries, bound: Fraction) -> bool:
+    """True iff a and b have the same nonzero terms at every exponent <= bound."""
     d = lcm(a.den, b.den)
     top = bound.numerator * d // bound.denominator
     fa, fb = d // a.den, d // b.den
     return [(p * fa, c) for p, c in a.terms if p * fa <= top] == [
         (p * fb, c) for p, c in b.terms if p * fb <= top
     ]
+
+
+def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
+    """True iff a and b have the same coefficient at every exponent <= bound.
+
+    Raises ValueError unless both series are exact through bound, so the
+    comparison never passes on a region that one side does not know.  Unlike
+    ``==`` it ignores what either side knows beyond bound.
+    """
+    bound = Fraction(bound)
+    for s in (a, b):
+        s._require_known(bound)
+    return _terms_equal_through(a, b, bound)
 
 
 def _character(theta_at, euler_parts, eta_den: int, target: Fraction, order: int) -> FracSeries:
@@ -462,6 +456,8 @@ def _character(theta_at, euler_parts, eta_den: int, target: Fraction, order: int
     exact only below target.  The margin stays at 2 because it sets every
     character's ``order``, which the Python API exposes.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     out = theta_at(_ceil(target + Fraction(1, eta_den)) + 2) * _euler(euler_parts, order + 2)
     span = out.order - out.lowest
     out = out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)

@@ -101,19 +101,52 @@ def test_sl2_character_exact_at_target_when_shifted_target_is_integral():
 
 def test_branching_completeness():
     # even + odd = full character, computed along two independent routes
-    for l in (1, 2):
+    for l, order in ((1, 20), (2, 20), (3, 15), (4, 15), (5, 15), (6, 15)):
         for lab in osp_modules(l):
-            even = branch_character(l, lab.r, "even", 20)
-            odd = branch_character(l, lab.r, "odd", 20)
-            total = osp_character(lab, 20)
-            assert even + odd == total, (l, lab.r)
+            even = branch_character(l, lab.r, "even", order)
+            odd = branch_character(l, lab.r, "odd", order)
+            total = osp_character(lab, order)
+            top = osp_weight(l, lab.r) - osp_central_charge(l) / 24 + order
+            assert equal_through(even + odd, total, top), (l, lab.r)
 
 
 def test_branch_character_both_equals_osp():
-    branch = branch_character(2, 3, "both", 12)
-    osp = osp_character(OspLabel(2, 3), 12)
-    top = osp_weight(2, 3) - osp_central_charge(2) / 24 + 12
-    assert equal_through(branch, osp, top)
+    for l, order in ((1, 15), (2, 12), (3, 15), (4, 15), (5, 15), (6, 15)):
+        for lab in osp_modules(l):
+            branch = branch_character(l, lab.r, "both", order)
+            osp = osp_character(lab, order)
+            top = osp_weight(l, lab.r) - osp_central_charge(l) / 24 + order
+            assert equal_through(branch, osp, top), (l, lab.r)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_gko_coset_identity(k):
+    # ch_sl2(k,i) ch_sl2(1,eps) = sum_{j = i+eps mod 2} ch_sl2(k+1,j) ch_Vir(k+3,k+2)(i+1,j+1)
+    # (Goddard, Kent and Olive 1986), through 12 levels above the leading term
+    order = 12
+    model = MinimalModel(k + 3, k + 2)
+    c = sl2_central_charge(k) + sl2_central_charge(1)
+    for i in range(k + 1):
+        for eps in (0, 1):
+            lhs = sl2_character(Sl2Label(k, i), order) * sl2_character(Sl2Label(1, eps), order)
+            terms = [sl2_character(Sl2Label(k + 1, j), order)
+                     * model.character(L(i + 1, j + 1), order)
+                     for j in range((i + eps) % 2, k + 2, 2)]
+            rhs = sum(terms[1:], terms[0])
+            top = sl2_weight(Sl2Label(k, i)) + sl2_weight(Sl2Label(1, eps)) - c / 24 + order
+            assert equal_through(lhs, rhs, top), (k, i, eps)
+
+
+@pytest.mark.parametrize("build", [
+    lambda order: MinimalModel(10, 7).character(L(3, 1), order),
+    lambda order: osp_character(OspLabel(1, 1), order),
+    lambda order: sl2_character(Sl2Label(1, 0), order),
+    lambda order: branch_character(2, 3, "even", order),
+], ids=["vir", "osp", "sl2", "branch"])
+@pytest.mark.parametrize("order", [-1, -3])
+def test_character_rejects_negative_order(build, order):
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        build(order)
 
 
 def test_character_coefficients_nonneg_integers():

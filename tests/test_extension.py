@@ -14,7 +14,6 @@ from cosetchar.extension import (
     ext_label,
     fusion_table,
     simple_current_image,
-    tensor_fusion_dim,
 )
 from cosetchar.minimal import KacLabel, ModuleSum
 
@@ -70,11 +69,9 @@ def test_irreducible_list():
     assert (w2 - w1).denominator == 1
     # every presented label with s != 5 shares its module with the s -> 10-s one
     for lab in labels:
-        partner = lab.duplicate_partner
         if lab.s == 5:
-            assert partner is None
             continue
-        assert partner == ExtLabel(lab.r, 10 - lab.s)
+        partner = ExtLabel(lab.r, 10 - lab.s)
         assert lab.orbit() == partner.orbit()
         assert set(lab.constituents) == set(partner.constituents)
 
@@ -186,13 +183,10 @@ def test_integer_weight_gap_scan():
     assert decomposition_orbits == {(1, 1): 10, (2, 1): 6, (3, 1): 2}
 
 
-def test_tensor_fusion_dim():
-    assert tensor_fusion_dim(1, 1) == 1
-    assert tensor_fusion_dim(0, 5) == 0
-    assert tensor_fusion_dim(1, 2) == 2
-    assert tensor_fusion_dim(3, 4) == 12
-    with pytest.raises(ValueError):
-        tensor_fusion_dim(-1, 2)
+@pytest.mark.parametrize("ca, cb", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_ext_fuse_rejects_constituent_index(ca, cb):
+    with pytest.raises(ValueError, match="constituent index"):
+        ext_fuse(ext_label(1, 1), ext_label(2, 3), ca, cb)
 
 
 def test_fusion_table_deterministic_json():
