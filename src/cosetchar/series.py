@@ -6,7 +6,11 @@ integer coefficient is a plain ``int``, a ``Fraction`` only when a caller
 passes a non-integer one.  Every operation tracks the largest exponent bound
 below which its result is still exact, so a coefficient can never silently
 degrade into garbage: asking for one at or beyond the bound raises instead
-of returning zero.  Products never multiply a pair landing past that bound.
+of returning zero.  A product never multiplies or packs a term that cannot
+land below its bound.  Small products, and products with a ``Fraction``
+coefficient, loop over pairs of terms; large integer ones pack each residue
+class of each factor into one big ``int`` and let a single multiply do the
+convolution (Kronecker substitution), discarding the slots past the bound.
 
 The module also provides the handful of special series every character in
 this package is assembled from: plain monomial prefactors, Euler products
@@ -61,6 +65,89 @@ def _exact(c) -> int | Fraction:
         return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+# A product runs the pair loop while its smaller factor has fewer nonzero
+# terms than this.  That count bounds the pairs summed into one product
+# coefficient, while packing costs about the same per slot whatever the
+# count.  Measured on the products of the decomposition check, theta times
+# Euler products (6-18 x 203 terms) run faster in the pair loop and dense
+# products from about 32 x 32 terms run faster packed.
+_KRONECKER_MIN_TERMS = 32
+
+
+def _all_int(*term_lists) -> bool:
+    return all(type(c) is int for terms in term_lists for _, c in terms)
+
+
+def _classes(terms, f: int, d: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Terms at positions ``p*f`` grouped by residue r mod d.
+
+    Each class is ``(r, [(k, c), ...])`` with position ``r + d*k``, sorted by k.
+    """
+    rows = defaultdict(list)
+    for p, c in terms:
+        k, r = divmod(p * f, d)
+        rows[r].append((k, c))
+    return list(rows.items())
+
+
+def _bias(length: int, wb: int, half: int) -> int:
+    """``sum half * X**k`` for k < length, with ``X = 2**(8*wb)``."""
+    return int.from_bytes(half.to_bytes(wb, "little") * length, "little")
+
+
+def _pack(row, lo: int, length: int, wb: int, half: int) -> int:
+    """``sum c * X**(k-lo)`` over ``(k, c)`` in row, ``X = 2**(8*wb)``, |c| < half."""
+    biased = [half] * length
+    for k, c in row:
+        biased[k - lo] += c
+    packed = b"".join([c.to_bytes(wb, "little") for c in biased])
+    return int.from_bytes(packed, "little") - _bias(length, wb, half)
+
+
+def _kronecker(classes_a, classes_b, d: int, order: int) -> dict[int, int]:
+    """Product terms below position order of two integer series given by ``_classes``.
+
+    Inside a residue class the terms are integer-spaced, so each pair of
+    classes is a product of two dense integer polynomials.  Each one is
+    packed into a single int, one slot of ``wb`` bytes per power, and one
+    big-int multiply does the whole convolution (Kronecker substitution).
+    Terms that cannot land below order are not packed; slots at or past
+    order are discarded.  A product slot sums at most ``min(la, lb)``
+    products, each below ``2**(bits_a + bits_b)`` in magnitude, so it lies
+    strictly between -half and half: with half added, every slot is a digit
+    in ``[0, X)`` that never carries into the next.
+    """
+    acc = defaultdict(int)
+    for ra, row_a in classes_a:
+        for rb, row_b in classes_b:
+            lo_a, lo_b = row_a[0][0], row_b[0][0]
+            # product slots lo_a + lo_b + 0 .. n-1 land below order
+            n = (order - 1 - ra - rb) // d - lo_a - lo_b + 1
+            if n <= 0:
+                continue
+            ka = row_a[: bisect_left(row_a, (lo_a + n,))]
+            kb = row_b[: bisect_left(row_b, (lo_b + n,))]
+            la, lb = ka[-1][0] - lo_a + 1, kb[-1][0] - lo_b + 1
+            n = min(n, la + lb - 1)
+            width = (
+                max(abs(c) for _, c in ka).bit_length()
+                + max(abs(c) for _, c in kb).bit_length()
+                + min(la, lb).bit_length()
+                + 1
+            )
+            wb = -(-width // 8)
+            half = 1 << (8 * wb - 1)
+            prod = _pack(ka, lo_a, la, wb, half) * _pack(kb, lo_b, lb, wb, half)
+            low = (prod + _bias(n, wb, half)) & ((1 << (8 * wb * n)) - 1)
+            raw = low.to_bytes(wb * n, "little")
+            base = ra + rb + d * (lo_a + lo_b)
+            for k, o in enumerate(range(0, wb * n, wb)):
+                c = int.from_bytes(raw[o : o + wb], "little") - half
+                if c:
+                    acc[base + d * k] += c
+    return acc
 
 
 class FracSeries:
@@ -230,6 +317,13 @@ class FracSeries:
         return FracSeries._from_terms(self.den, self.lowest, self.order, pairs)
 
     def __mul__(self, other):
+        """Product with a scalar, or Cauchy product with a series on the lcm lattice.
+
+        The product is exact below the first exponent that an unknown
+        coefficient of either factor can reach.  No term that cannot land
+        below that bound is multiplied or packed, and packed slots past it
+        are discarded.  Integer coefficients stay ``int``.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if not isinstance(other, FracSeries):
@@ -246,11 +340,15 @@ class FracSeries:
         # order_a + lo_b (resp. order_b + lo_a); below that every Cauchy
         # convolution term is made of known coefficients.
         order = min(self.order * fa + lo_b, other.order * fb + lo_a)
-        acc = defaultdict(int)
-        for i, ca in self.terms:
-            i *= fa
-            for j, cb in islice(tb, bisect_left(pos_b, order - i)):
-                acc[i + j] += ca * cb
+        large = min(len(self.terms), len(tb)) >= _KRONECKER_MIN_TERMS
+        if large and _all_int(self.terms, tb):
+            acc = _kronecker(_classes(self.terms, fa, d), _classes(tb, 1, d), d, order)
+        else:
+            acc = defaultdict(int)
+            for i, ca in self.terms:
+                i *= fa
+                for j, cb in islice(tb, bisect_left(pos_b, order - i)):
+                    acc[i + j] += ca * cb
         return FracSeries._from_terms(d, lo_a + lo_b, order, acc.items())
 
     __rmul__ = __mul__

@@ -134,6 +134,13 @@ def test_decomposition_at_cli_cap_matches_separate_factor_route():
     assert [coeffs for _, coeffs in report.rows] == expected
 
 
+def test_decomposition_passes_past_cli_cap():
+    # four times the CLI cap: the products carry coefficients of about 150 bits
+    report = verify_decomposition(4 * DEFAULT_MAX_ORDER)
+    assert report.passed
+    assert len(report.comparisons) == 4 * DEFAULT_MAX_ORDER + 1
+
+
 def test_column_sums_recomputed_not_copied():
     # the sum row must come from the summands: perturbing one summand shifts it
     report = verify_decomposition(12, perturb=(4, 3, -1))

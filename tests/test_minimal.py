@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -186,6 +187,84 @@ def test_fuse_matches_representative_search():
             expected = ModuleSum(
                 {c: 1 for c in labels if _reference_fusion_dim(model, a, b, c)}
             )
+            assert model.fuse(a, b) == expected, (model, a, b)
+
+
+def _chebyshev_u(m):
+    """Integer coefficients, lowest power first, of U_0 .. U_m."""
+    us = [[1], [0, 2]]
+    while len(us) <= m:
+        nxt = [0] + [2 * c for c in us[-1]]
+        for i, c in enumerate(us[-2]):
+            nxt[i] -= c
+        us.append(nxt)
+    return us[: m + 1]
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _root_power_sums(poly, top):
+    """Sum of x**j over the roots of poly, j = 0 .. top, by Newton's identities."""
+    m = len(poly) - 1
+    c = [F(poly[m - i], poly[m]) for i in range(m + 1)]  # monic, x^m + c1 x^(m-1) + ...
+    sums = [F(m)]
+    for j in range(1, top + 1):
+        s = -sum(c[i] * sums[j - i] for i in range(1, min(j, m + 1)))
+        sums.append(s - j * c[j] if j <= m else s)
+    return sums
+
+
+@functools.cache
+def _su2_verlinde(k):
+    """su(2)_k fusion coefficients N[a, b, c], labels a = 2j + 1 in 1 .. k+1.
+
+    With S_ad = sqrt(2/n) sin(pi a d / n), n = k + 2, the Verlinde sum is
+    (2/n) sum_d sin(a t) sin(b t) sin(c t) / sin(t), t = pi d / n.  In
+    x = cos(t) the summand is (1 - x^2) U_(a-1) U_(b-1) U_(c-1), and the
+    x = cos(pi d / n), d = 1 .. n-1, are the roots of U_(n-1): power sums over
+    them evaluate the sum exactly, with no floats.
+    """
+    n = k + 2
+    us = _chebyshev_u(n - 1)
+    sums = _root_power_sums(us[n - 1], 3 * k + 2)
+    table = {}
+    for a, b, c in itertools.product(range(1, n), repeat=3):
+        poly = _poly_mul([1, 0, -1], _poly_mul(us[a - 1], _poly_mul(us[b - 1], us[c - 1])))
+        value = F(2, n) * sum(x * sums[j] for j, x in enumerate(poly))
+        assert value.denominator == 1 and value >= 0, (k, a, b, c, value)
+        table[a, b, c] = int(value)
+    return table
+
+
+def test_su2_verlinde_oracle_small_levels():
+    # su(2)_1: Z2 fusion; su(2)_2: Ising, sigma x sigma = 1 + psi
+    n1 = _su2_verlinde(1)
+    assert [n1[2, 2, c] for c in (1, 2)] == [1, 0]
+    n2 = _su2_verlinde(2)
+    assert [n2[2, 2, c] for c in (1, 2, 3)] == [1, 0, 1]
+    assert [n2[3, 3, c] for c in (1, 2, 3)] == [1, 0, 0]
+
+
+def test_fuse_matches_verlinde_formula():
+    # minimal-model fusion is the su(2)_(q-2) x su(2)_(p-2) Verlinde product
+    # summed over both Kac representatives of the outgoing label
+    for model in _coprime_models(3, 11):
+        p, q = model.p, model.q
+        nr, ns = _su2_verlinde(q - 2), _su2_verlinde(p - 2)
+        labels = model.canonical_labels()
+        for a, b in itertools.product(labels, repeat=2):
+            expected = {}
+            for c in labels:
+                mult = (nr[a.r, b.r, c.r] * ns[a.s, b.s, c.s]
+                        + nr[a.r, b.r, q - c.r] * ns[a.s, b.s, p - c.s])
+                if mult:
+                    expected[c] = mult
             assert model.fuse(a, b) == expected, (model, a, b)
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
@@ -658,3 +659,57 @@ def test_integer_coefficients_stay_int():
     assert all(type(c) is int for _, c in (euler_product(-1, -3, 20) * s.truncate(1)).terms)
     assert s.coeff(0) == 2 and type(s.coeff(0)) is F
 
+
+# --- packed (Kronecker) products against the dense reference ----------------
+
+@st.composite
+def long_paired_series(draw):
+    """Factors of 30-150 slots: big signed ints, several residue classes, or edge cases."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 12, 30]))
+    lowest = draw(st.integers(-40, 40))
+    kind = draw(st.sampled_from(["ints"] * 7 + ["fraction", "one", "empty"]))
+    if kind == "empty":
+        coeffs = [0] * draw(st.integers(0, 150))
+    elif kind == "one":
+        coeffs = [0] * draw(st.integers(0, 149))
+        coeffs.insert(draw(st.integers(0, len(coeffs))), draw(st.integers(1, 2**300)))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        top = 2 ** draw(st.sampled_from([1, 8, 40, 90, 300]))
+        zeros = draw(st.sampled_from([0, 0.2, 0.6]))
+        coeffs = [
+            0 if rng.random() < zeros else rng.randint(-top, top)
+            for _ in range(rng.randint(30, 150))
+        ]
+        if kind == "fraction":
+            coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(small_fracs)
+    return FracSeries(den, lowest, coeffs), DenseSeries(den, lowest, coeffs)
+
+
+@given(a=long_paired_series(), b=long_paired_series())
+@settings(max_examples=100, deadline=None)
+def test_long_products_match_dense_reference(a, b):
+    (sa, da), (sb, db) = a, b
+    product = sa * sb
+    assert product.to_json_dict() == (da * db).to_json_dict()
+    if all(type(c) is int for s in (sa, sb) for _, c in s.terms):
+        assert all(type(c) is int for _, c in product.terms)
+
+
+@pytest.mark.parametrize("length", [63, 127, 255])
+def test_long_products_reach_the_slot_bound(length):
+    # slot k of a product of two full-length rows of +-(2^b - 1) sums k + 1
+    # products of one sign (whether or not signs alternate along the rows),
+    # so the top slot reaches length * (2^ba - 1) * (2^bb - 1), the largest
+    # magnitude the slot width provides for; ba + bb + bit_length(length)
+    # takes every residue mod 8, so some widths fill their bytes exactly
+    for ba in [*range(2, 10), 64, 300]:
+        for bb in range(2, 10):
+            ma, mb = 2**ba - 1, 2**bb - 1
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                for alternate in (False, True):
+                    sign = (lambda k: (-1) ** k) if alternate else (lambda k: 1)
+                    a = FracSeries(1, 0, [sa * sign(k) * ma for k in range(length)])
+                    b = FracSeries(1, 0, [sb * sign(k) * mb for k in range(length)])
+                    expected = [sa * sb * sign(k) * (k + 1) * ma * mb for k in range(length)]
+                    assert (a * b).coeffs == tuple(expected), (length, ba, bb, sa, sb)
