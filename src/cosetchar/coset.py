@@ -15,8 +15,13 @@ from one side to the other.
 ``COSET_DECOMPOSITION`` writes this table down once.  Every product row comes
 from one builder that walks its pairings: the level-2 factor of each pairing
 is the osp character for the plain table and one parity part of it (along
-the sl2 x Virasoro branching) for the even/odd refinement.  The singular
-ladder reads its pairing from the same table.
+the sl2 x Virasoro branching) for the even/odd refinement.  The plain
+coefficient table of each order (six product rows, then the tensor-square
+row) is built once and cached; every check is a reader of it.  One sum rule
+compares the column sums of product rows with a target row: the
+decomposition applies it after any perturbation, the parity refinement to
+each parity, and the singular ladder reads the unperturbed comparisons at
+the columns of its candidates.
 """
 
 from __future__ import annotations
@@ -94,8 +99,11 @@ class VerificationReport:
     order: int
     rows: tuple[tuple[str, tuple[Fraction, ...]], ...]
     comparisons: tuple[Comparison, ...]
-    passed: bool
+    passed: bool = field(init=False)
     notes: tuple[str, ...] = field(default=())
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", all(c.ok for c in self.comparisons))
 
     def first_mismatch(self) -> Comparison | None:
         for c in self.comparisons:
@@ -153,15 +161,14 @@ def verify_central_charge() -> VerificationReport:
             ("c[Vir(10,7)]", (cv,)),
         ),
         comparisons=(Comparison(Fraction(0), lhs, rhs),),
-        passed=lhs == rhs,
     )
 
 
 # -- main decomposition -------------------------------------------------------
 
 
-def _products(order: int, level2, parity: str = "") -> list[tuple[str, FracSeries]]:
-    """The six labelled products ch[level-2 factor] * ch[V] of the decomposition.
+def _products(order: int, level2, parity: str = "") -> list[tuple[str, tuple[Fraction, ...]]]:
+    """The six labelled coefficient rows of ch[level-2 factor] * ch[V].
 
     ``level2(osp_lab)`` builds the level-2 factor of one pairing, once; it
     multiplies the Virasoro character of every module paired with it.
@@ -172,17 +179,25 @@ def _products(order: int, level2, parity: str = "") -> list[tuple[str, FracSerie
         factor = level2(osp_lab)
         base = f"M{osp_lab.r}" if osp_lab.r != 1 else "L(2,0)"
         for vir_lab in vir_labels:
-            out.append((f"ch[{base}{parity}]*ch[V{vir_lab}]",
-                        factor * COSET_MODEL.character(vir_lab, order)))
+            product = factor * COSET_MODEL.character(vir_lab, order)
+            out.append((f"ch[{base}{parity}]*ch[V{vir_lab}]", _coeff_row(product, order)))
     return out
 
 
 @lru_cache(maxsize=8)
-def _summand_series(order: int) -> tuple[tuple[str, FracSeries], ...]:
-    """The six products, then the tensor square ch[L(1,0)]^2 they must sum to."""
+def _summand_series(order: int) -> tuple[tuple[str, tuple[Fraction, ...]], ...]:
+    """The coefficient table: six product rows, then the row of ch[L(1,0)]^2."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     ch = osp_character(OspLabel(1, 1), order)
     products = _products(order, lambda osp_lab: osp_character(osp_lab, order))
-    return (*products, ("ch[L(1,0)^2]", ch * ch))
+    return (*products, ("ch[L(1,0)^2]", _coeff_row(ch * ch, order)))
+
+
+def _sum_rule(products, target, order: int):
+    """Column sums of the product rows, and their comparisons with the target row."""
+    sums = tuple(sum(coeffs[k] for _, coeffs in products) for k in range(order + 1))
+    return sums, tuple(Comparison(BASE_EXPONENT + k, target[k], sums[k]) for k in range(order + 1))
 
 
 def verify_decomposition(
@@ -195,35 +210,25 @@ def verify_decomposition(
     summing; it exists so that the failure path stays honest and testable.
     A position outside the 6 x (order+1) summand table raises ValueError.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    *products, (target_name, square) = _summand_series(order)
-    summands = [(name, list(_coeff_row(s, order))) for name, s in products]
-    target = _coeff_row(square, order)
+    *products, (target_name, target) = _summand_series(order)
     notes = ()
     if perturb is not None:
         row, col, delta = perturb
-        if not (0 <= row < len(summands) and 0 <= col <= order):
+        if not (0 <= row < len(products) and 0 <= col <= order):
             raise ValueError(
                 f"perturb position {row}:{col} lies outside the "
-                f"{len(summands)} x {order + 1} summand table"
+                f"{len(products)} x {order + 1} summand table"
             )
-        summands[row][1][col] += delta
+        # the table is shared through the cache: perturb a copy of the row
+        name, coeffs = products[row]
+        products[row] = (name, (*coeffs[:col], coeffs[col] + delta, *coeffs[col + 1 :]))
         notes = (f"perturbed row {row} column {col} by {delta:+d}",)
-    col_sums = tuple(sum(vals[k] for _, vals in summands) for k in range(order + 1))
-    comparisons = tuple(
-        Comparison(BASE_EXPONENT + k, target[k], col_sums[k]) for k in range(order + 1)
-    )
-    rows = tuple((name, tuple(vals)) for name, vals in summands) + (
-        (target_name, target),
-        ("column sums", col_sums),
-    )
+    col_sums, comparisons = _sum_rule(products, target, order)
     return VerificationReport(
         check="decomposition",
         order=order,
-        rows=rows,
+        rows=(*products, (target_name, target), ("column sums", col_sums)),
         comparisons=comparisons,
-        passed=all(c.ok for c in comparisons),
         notes=notes,
     )
 
@@ -266,6 +271,21 @@ _ODD_REFERENCE: dict[str, list[int]] = {
 MAX_REFINEMENT_ORDER = 10
 
 
+def _parity_tables(order: int) -> dict[str, list[tuple[str, tuple[Fraction, ...]]]]:
+    """Per parity, the six refined product rows, then the refined target row."""
+    # parity parts of the square: even = e^2 + o^2, odd = 2 e o, where e and o
+    # are the parity parts of a single level-1 factor
+    e = branch_character(1, 1, "even", order)
+    o = branch_character(1, 1, "odd", order)
+    squares = {"even": e * e + o * o, "odd": (e * o).scaled(2)}
+    return {
+        parity: _products(
+            order, lambda osp_lab: branch_character(2, osp_lab.r, parity, order), parity
+        ) + [(f"ch[L(1,0)^2 {parity}]", _coeff_row(square, order))]
+        for parity, square in squares.items()
+    }
+
+
 def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationReport:
     """Parity-refined expansions against reference data and their sum rules.
 
@@ -277,39 +297,21 @@ def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationRep
     if not 0 <= order <= MAX_REFINEMENT_ORDER:
         raise ValueError(f"order must lie in 0..{MAX_REFINEMENT_ORDER}")
     reference = {**_EVEN_REFERENCE, **_ODD_REFERENCE}
-    # parity parts of the square: even = e^2 + o^2, odd = 2 e o, where e and o
-    # are the parity parts of a single level-1 factor
-    e = branch_character(1, 1, "even", order)
-    o = branch_character(1, 1, "odd", order)
-    squares = {"even": e * e + o * o, "odd": (e * o).scaled(2)}
+    tables = _parity_tables(order)
     comparisons: list[Comparison] = []
-    rows: list[tuple[str, tuple[Fraction, ...]]] = []
-    by_parity = {}
-    for parity, square in squares.items():
-        products = [
-            (name, _coeff_row(s, order))
-            for name, s in _products(
-                order, lambda osp_lab: branch_character(2, osp_lab.r, parity, order), parity)
-        ]
-        target = (f"ch[L(1,0)^2 {parity}]", _coeff_row(square, order))
-        by_parity[parity] = products + [target]
-        rows.extend(products)
-        rows.append(target)
+    for table in tables.values():
         # (a) reference coefficients
-        for name, coeffs in products + [target]:
+        for name, coeffs in table:
             for k, c in enumerate(coeffs):
                 comparisons.append(
                     Comparison(BASE_EXPONENT + k, c, Fraction(reference[name][k]))
                 )
         # (b) containment: the six products of one parity sum to the parity target
-        for k in range(order + 1):
-            total = sum(coeffs[k] for _, coeffs in products)
-            comparisons.append(Comparison(BASE_EXPONENT + k, target[1][k], total))
+        *products, (_, target) = table
+        comparisons.extend(_sum_rule(products, target, order)[1])
     # (c) even + odd recombine to the unrefined rows, in matching order
-    unrefined = verify_decomposition(order)
-    plain_rows = unrefined.rows[:7]  # six products then the target
     for (_, even_coeffs), (_, odd_coeffs), (_, plain_coeffs) in zip(
-        by_parity["even"], by_parity["odd"], plain_rows
+        *tables.values(), _summand_series(order)
     ):
         for k in range(order + 1):
             comparisons.append(
@@ -318,9 +320,8 @@ def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationRep
     return VerificationReport(
         check="even-refinement",
         order=order,
-        rows=tuple(rows),
+        rows=tuple(row for table in tables.values() for row in table),
         comparisons=tuple(comparisons),
-        passed=all(c.ok for c in comparisons),
     )
 
 
@@ -336,10 +337,8 @@ def singular_ladder(order: int = 20) -> VerificationReport:
     would break the exact match at its column).  Candidates beyond the table
     are reported as out of range, not silently passed.
     """
-    decomposition = verify_decomposition(order)
-    table = dict(decomposition.rows)
-    target = table["ch[L(1,0)^2]"]
-    sums = table["column sums"]
+    *products, (_, target) = _summand_series(order)
+    _, columns = _sum_rule(products, target, order)
     rows: list[tuple[str, tuple[Fraction, ...]]] = []
     comparisons: list[Comparison] = []
     notes: list[str] = []
@@ -352,13 +351,12 @@ def singular_ladder(order: int = 20) -> VerificationReport:
         osp_lab = pairing[vir_lab]
         h_m = osp_weight(osp_lab.l, osp_lab.r)
         for w in (w1, w2):
-            exponent = h_m + w + BASE_EXPONENT
-            column = exponent - BASE_EXPONENT
+            column = h_m + w
             if column.denominator != 1:
                 raise ValueError("singular candidate off the integer lattice")
             k = int(column)
             if k <= order:
-                comparisons.append(Comparison(BASE_EXPONENT + k, target[k], sums[k]))
+                comparisons.append(columns[k])
             else:
                 notes.append(
                     f"V{vir_lab} candidate weight {w} sits at column {k}, beyond order {order}"
@@ -368,7 +366,6 @@ def singular_ladder(order: int = 20) -> VerificationReport:
         order=order,
         rows=tuple(rows),
         comparisons=tuple(comparisons),
-        passed=all(c.ok for c in comparisons),
         notes=tuple(notes),
     )
 

@@ -17,7 +17,6 @@ with every label folded onto its orbit representative.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,7 +174,3 @@ def fusion_table() -> list[dict]:
                     }
                 )
     return out
-
-
-def fusion_table_json() -> str:
-    return json.dumps(fusion_table())

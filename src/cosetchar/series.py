@@ -196,10 +196,6 @@ class FracSeries:
 
     # -- inspection ------------------------------------------------------
 
-    def exponent(self, k: int) -> Fraction:
-        """Exponent of the k-th slot above ``lowest``."""
-        return Fraction(self.lowest + k, self.den)
-
     def nonzero_terms(self) -> Iterator[tuple[Fraction, Fraction]]:
         """Yield (exponent, coefficient) for every nonzero term."""
         for p, c in self.terms:
@@ -219,16 +215,7 @@ class FracSeries:
         series' exponent lattice.  Raises ValueError at or beyond the bound;
         an unknown coefficient is never reported as zero.
         """
-        e = Fraction(num, den) if not isinstance(num, Fraction) else num / den
-        self._require_known(e)
-        scaled = e * self.den
-        if scaled.denominator != 1:
-            return _ZERO
-        pos = scaled.numerator
-        k = bisect_left(self.terms, (pos,))
-        if k < len(self.terms) and self.terms[k][0] == pos:
-            return Fraction(self.terms[k][1])
-        return _ZERO
+        return self.coeff_row(Fraction(num, den), 1)[0]
 
     def coeff_row(self, start: Fraction | int, count: int) -> tuple[Fraction, ...]:
         """Exact coefficients of ``q**(start + k)``, k = 0 .. count-1, in one pass.

@@ -12,8 +12,13 @@ from cosetchar.coset import (
     verify_central_charge,
     verify_decomposition,
     verify_even_refinement,
+    _coeff_row,
+    _parity_tables,
+    _products,
+    _sum_rule,
+    _summand_series,
 )
-from cosetchar.affine import OspLabel, osp_central_charge, osp_weight
+from cosetchar.affine import OspLabel, branch_character, osp_central_charge, osp_weight
 from cosetchar.cli import DEFAULT_MAX_ORDER
 from cosetchar.minimal import MinimalModel
 from cosetchar.series import _ceil, euler_product, monomial, theta_null, weighted_theta
@@ -134,6 +139,18 @@ def test_decomposition_at_cli_cap_matches_separate_factor_route():
     assert [coeffs for _, coeffs in report.rows] == expected
 
 
+def test_decomposition_along_branching_route_at_cli_cap():
+    # every osp character from its sl2 x Virasoro branching: no osp theta sum
+    order = DEFAULT_MAX_ORDER
+    products = _products(order, lambda lab: branch_character(2, lab.r, "both", order))
+    one = branch_character(1, 1, "both", order)
+    target = _coeff_row(one * one, order)
+    _, comparisons = _sum_rule(products, target, order)
+    assert len(comparisons) == order + 1
+    assert all(c.ok for c in comparisons)
+    assert [*products, ("ch[L(1,0)^2]", target)] == list(_summand_series(order))
+
+
 def test_decomposition_passes_past_cli_cap():
     # four times the CLI cap: the products carry coefficients of about 150 bits
     report = verify_decomposition(4 * DEFAULT_MAX_ORDER)
@@ -159,6 +176,24 @@ def test_every_single_coefficient_perturbation_is_detected():
                 bad = report.first_mismatch()
                 assert bad.exponent == BASE_EXPONENT + col
                 assert bad.rhs - bad.lhs == delta
+
+
+def test_perturbation_leaves_the_shared_table_intact():
+    # column 1 is a singular-ladder column at every order >= 1
+    for order in (1, 12, 40):
+        assert verify_decomposition(order).passed  # the table is now cached
+        assert not verify_decomposition(order, perturb=(4, 1, 1)).passed
+        assert verify_decomposition(order).passed
+        assert singular_ladder(order).passed
+        reports = run_all(order, perturb=(4, 1, -1))
+        assert [r.passed for r in reports] == [True, False, True, True]
+
+
+def test_ladder_comparisons_are_decomposition_columns():
+    for order in range(41):
+        columns = {c.exponent: c for c in verify_decomposition(order).comparisons}
+        for c in singular_ladder(order).comparisons:
+            assert c == columns[c.exponent], (order, c)
 
 
 def test_coefficient_table_shape_and_integrality():
@@ -193,6 +228,19 @@ def test_even_refinement_recombines_to_full_rows():
     assert len(even_rows) == len(odd_rows) == len(plain) == 6
     for (en, ec), (on, oc), expected in zip(even_rows, odd_rows, plain):
         assert [int(a + b) for a, b in zip(ec, oc)] == expected[:11], (en, on)
+
+
+def test_parity_identities_at_cli_cap():
+    # containment and recombination need no reference rows, so they run past q^10
+    order = DEFAULT_MAX_ORDER
+    tables = _parity_tables(order)
+    for *products, (_, target) in tables.values():
+        _, comparisons = _sum_rule(products, target, order)
+        assert len(comparisons) == order + 1
+        assert all(c.ok for c in comparisons)
+    for (_, even), (_, odd), (_, plain) in zip(*tables.values(), _summand_series(order)):
+        assert len(even) == len(odd) == len(plain) == order + 1
+        assert tuple(a + b for a, b in zip(even, odd)) == plain
 
 
 def test_even_refinement_rejects_orders_beyond_reference():

@@ -289,10 +289,15 @@ def _coeff_row_or_error(s, start, count):
 
 
 def _coeffs_or_error(s, start, count):
-    try:
-        return tuple(s.coeff(start + k) for k in range(count))
-    except ValueError:
-        return ValueError
+    """Coefficients of q^(start + k) looked up in the stored terms, not via coeff_row."""
+    terms = dict(s.terms)
+    out = []
+    for k in range(count):
+        pos = (F(start) + k) * s.den
+        if pos >= s.order:
+            return ValueError
+        out.append(F(terms.get(pos.numerator, 0)) if pos.denominator == 1 else F(0))
+    return tuple(out)
 
 
 def test_coeff_row_matches_coeff_on_a_grid():
