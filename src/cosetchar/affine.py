@@ -164,16 +164,12 @@ def branch_model(l: int) -> MinimalModel:
 
 def branch_terms(l: int, r: int, parity: Parity = "both") -> list[BranchTerm]:
     OspLabel(l, r)
-    model = branch_model(l)
     out = []
     for i in range(0, l + 1):
         par = "even" if i % 2 == 0 else "odd"
         if parity != "both" and par != parity:
             continue
-        lab = KacLabel(i + 1, r)
-        if not model.in_range(lab):
-            raise ValueError(f"branch label {lab} out of range for {model}")
-        out.append(BranchTerm(Sl2Label(l, i), lab, par))
+        out.append(BranchTerm(Sl2Label(l, i), KacLabel(i + 1, r), par))
     return out
 
 

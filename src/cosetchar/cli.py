@@ -8,9 +8,9 @@ passing verification, 1 when a verification fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-import warnings
 from fractions import Fraction
 
 from . import affine, coset, extension
@@ -213,35 +213,17 @@ def cmd_fusion(args) -> tuple[str, int]:
         if args.p is None or args.q is None:
             raise UsageError("fusion vir needs positional P Q")
         model = MinimalModel(args.p, args.q)
-        if args.table:
-            labels = model.canonical_labels()
-            entries = [
-                {
-                    "a": [a.r, a.s],
-                    "b": [b.r, b.s],
-                    "result": model.fuse(a, b).to_json(),
-                }
-                for a in labels
-                for b in labels
-            ]
-            return _fusion_output(entries, args.format), 0
-        if not (args.a and args.b):
-            raise UsageError("fusion vir needs --a and --b (or --table)")
-        a, b = _parse_label(args.a), _parse_label(args.b)
-        entries = [{"a": [a.r, a.s], "b": [b.r, b.s], "result": model.fuse(a, b).to_json()}]
-        return _fusion_output(entries, args.format), 0
+        fuse, labels, make = model.fuse, model.canonical_labels, KacLabel
+    else:
+        fuse, labels, make = extension.ext_fuse, extension.ext_irreducibles, extension.ext_label
     if args.table:
-        return _fusion_output(extension.fusion_table(), args.format), 0
-    if not (args.a and args.b):
-        raise UsageError("fusion ext needs --a and --b (or --table)")
-    la, lb = _parse_label(args.a), _parse_label(args.b)
-    a = extension.ext_label(la.r, la.s)
-    b = extension.ext_label(lb.r, lb.s)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", extension.FixedPointFusionWarning)
-        result = extension.ext_fuse(a, b)
-    entries = [{"a": [a.r, a.s], "b": [b.r, b.s], "result": result.to_json()}]
-    return _fusion_output(entries, args.format), 0
+        pairs = itertools.product(labels(), repeat=2)
+    elif args.a and args.b:
+        la, lb = _parse_label(args.a), _parse_label(args.b)
+        pairs = [(make(*la), make(*lb))]
+    else:
+        raise UsageError(f"fusion {args.scope} needs --a and --b (or --table)")
+    return _fusion_output(extension.fusion_entries(fuse, pairs), args.format), 0
 
 
 def _fusion_output(entries: list[dict], fmt: str) -> str:

@@ -12,11 +12,15 @@ each factor, fuse them in the minimal model, then replace every label in the
 result by its orbit.  An orbit picked up through both of its members counts
 twice; the outcome does not depend on which constituents were chosen.  The
 result is an ``ExtModuleSum``: the minimal model's ``ModuleSum`` multiset
-with every label folded onto its orbit representative.
+with every label folded onto its orbit representative.  The constituent
+fusion it starts from is the minimal model's cached, read-only result.
+``fusion_entries`` is the one builder of JSON-ready fusion entries, for
+``fusion_table`` and for both scopes of the ``fusion`` command.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +36,7 @@ __all__ = [
     "classify_ext_modules",
     "ext_irreducibles",
     "ext_fuse",
+    "fusion_entries",
     "fusion_table",
 ]
 
@@ -97,6 +102,7 @@ class ExtModuleSum(ModuleSum):
     """Multiset of orbit representatives with positive multiplicities."""
 
     _key = staticmethod(ExtLabel.orbit)
+    _label = ExtLabel
 
 
 def classify_ext_modules() -> tuple[list[ExtLabel], list[KacLabel]]:
@@ -106,20 +112,10 @@ def classify_ext_modules() -> tuple[list[ExtLabel], list[KacLabel]]:
     structure) and the 3 fixed-point labels (two structures each);
     2 * 12 + 3 = 27.
     """
-    seen = set()
-    orbits = []
-    fixed = []
-    for lab in MODEL.canonical_labels():
-        if lab in seen:
-            continue
-        image = simple_current_image(lab)
-        if image == lab:
-            fixed.append(lab)
-        else:
-            seen.add(image)
-            orbits.append(ExtLabel(lab.r, lab.s).orbit())
-        seen.add(lab)
-    return sorted(orbits), sorted(fixed)
+    labels = MODEL.canonical_labels()
+    fixed = [lab for lab in labels if simple_current_image(lab) == lab]
+    orbits = {ExtLabel(lab.r, lab.s).orbit() for lab in labels if lab not in fixed}
+    return sorted(orbits), fixed
 
 
 def ext_irreducibles() -> list[ExtLabel]:
@@ -158,19 +154,17 @@ def ext_fuse(
     return ExtModuleSum({ExtLabel(lab.r, lab.s): m for lab, m in MODEL.fuse(va, vb)})
 
 
-def fusion_table() -> list[dict]:
-    """Deterministic JSON-ready fusion table over all 27 presented labels."""
-    out = []
-    labels = ext_irreducibles()
+def fusion_entries(fuse, pairs) -> list[dict]:
+    """JSON-ready ``{a, b, result}`` entries of ``fuse(a, b)`` over the label pairs.
+
+    ``FixedPointFusionWarning`` is silenced for the whole batch.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FixedPointFusionWarning)
-        for a in labels:
-            for b in labels:
-                out.append(
-                    {
-                        "a": [a.r, a.s],
-                        "b": [b.r, b.s],
-                        "result": ext_fuse(a, b).to_json(),
-                    }
-                )
-    return out
+        return [{"a": [a.r, a.s], "b": [b.r, b.s], "result": fuse(a, b).to_json()}
+                for a, b in pairs]
+
+
+def fusion_table() -> list[dict]:
+    """Deterministic JSON-ready fusion table over all 27 presented labels."""
+    return fusion_entries(ext_fuse, itertools.product(ext_irreducibles(), repeat=2))

@@ -6,9 +6,11 @@ with ``1 <= r <= q-1`` and ``1 <= s <= p-1``, identified in pairs under
 ``(r, s) ~ (q-r, p-s)``.  Fusion is the product of the su(2) fusion rules at
 levels q-2 (on r) and p-2 (on s), read through the Kac identification; since
 one of p, q is odd, at most one label of each pair occurs, so multiplicities
-are 0 or 1.  The admissible-triple conditions (triangle inequalities, parity,
-and the range caps 2q-1 / 2p-1 on the label sums) survive as
-``MinimalModel.is_admissible`` and as the test suite's reference for fusion.
+are 0 or 1.  ``fuse`` builds each product once and returns that cached,
+read-only ``ModuleSum`` on every later call.  The admissible-triple conditions
+(triangle inequalities, parity, and the range caps 2q-1 / 2p-1 on the label
+sums) survive as ``MinimalModel.is_admissible`` and as the test suite's
+reference for fusion.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .series import FracSeries, _character, theta_null
@@ -36,10 +39,12 @@ class KacLabel(NamedTuple):
 class ModuleSum:
     """Finite multiset of canonical Kac labels with positive multiplicities.
 
-    Subclasses fold equivalent labels onto one key by overriding ``_key``.
+    ``mults`` is read-only, so one instance can be shared.  Subclasses name
+    their label type in ``_label`` and fold equivalent labels in ``_key``.
     """
 
     _key = staticmethod(lambda label: label)
+    _label = KacLabel
 
     def __init__(self, mults: dict):
         if any(m < 0 for m in mults.values()):
@@ -49,10 +54,13 @@ class ModuleSum:
             if m:
                 key = self._key(lab)
                 acc[key] = acc.get(key, 0) + m
-        self.mults = dict(sorted(acc.items()))
+        self.mults = MappingProxyType(dict(sorted(acc.items())))
 
     def __eq__(self, other):
         if isinstance(other, dict):
+            if not all(isinstance(lab, self._label) and isinstance(m, int) and m >= 0
+                       for lab, m in other.items()):
+                return False
             other = type(self)(other)
         return type(other) is type(self) and self.mults == other.mults
 
@@ -129,15 +137,11 @@ class MinimalModel:
 
     def canon(self, label: KacLabel) -> KacLabel:
         """Smaller of (r,s) and (q-r,p-s) by (r, then s)."""
-        partner = self.kac_partner(label)
-        return min(label, partner)
+        return min(label, self.kac_partner(label))
 
     def canonical_labels(self) -> list[KacLabel]:
-        out = set()
-        for r in range(1, self.q):
-            for s in range(1, self.p):
-                out.add(self.canon(KacLabel(r, s)))
-        return sorted(out)
+        return sorted({self.canon(KacLabel(r, s))
+                       for r in range(1, self.q) for s in range(1, self.p)})
 
     # -- fusion -------------------------------------------------------------
 
@@ -151,11 +155,11 @@ class MinimalModel:
 
     def fusion_dim(self, t1: KacLabel, t2: KacLabel, t3: KacLabel) -> int:
         """1 iff the class of t3 occurs in the fusion product of t1 and t2."""
-        return int(self.canon(t3) in _fuse(self.p, self.q, self.canon(t1), self.canon(t2)))
+        return self.fuse(t1, t2)[self.canon(t3)]
 
     def fuse(self, t1: KacLabel, t2: KacLabel) -> ModuleSum:
-        """Fusion product as a sum of canonical labels (multiplicities 0/1)."""
-        return ModuleSum(dict.fromkeys(_fuse(self.p, self.q, self.canon(t1), self.canon(t2)), 1))
+        """Fusion product as a sum of canonical labels (0/1); one shared object per pair."""
+        return _fuse(self.p, self.q, self.canon(t1), self.canon(t2))
 
     # -- characters ------------------------------------------------------------
 
@@ -186,17 +190,15 @@ def _triple_ok(xs: tuple[int, int, int], cap: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _fuse(p, q, t1, t2):
-    """Canonical labels of the su(2)_{q-2} x su(2)_{p-2} product, sorted."""
+def _fuse(p, q, t1, t2) -> ModuleSum:
+    """The su(2)_{q-2} x su(2)_{p-2} product of two canonical labels, on canonical labels."""
     (r1, s1), (r2, s2) = t1, t2
-    return tuple(
-        sorted(
-            {
-                KacLabel(*min((r, s), (q - r, p - s)))
-                for r in range(abs(r1 - r2) + 1, min(r1 + r2, 2 * q - r1 - r2), 2)
-                for s in range(abs(s1 - s2) + 1, min(s1 + s2, 2 * p - s1 - s2), 2)
-            }
-        )
+    return ModuleSum(
+        {
+            KacLabel(*min((r, s), (q - r, p - s))): 1
+            for r in range(abs(r1 - r2) + 1, min(r1 + r2, 2 * q - r1 - r2), 2)
+            for s in range(abs(s1 - s2) + 1, min(s1 + s2, 2 * p - s1 - s2), 2)
+        }
     )
 
 

@@ -364,9 +364,8 @@ class FracSeries:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        coeffs = ["0/1"] * (self.order - self.lowest)
-        for p, c in self.terms:
-            coeffs[p - self.lowest] = f"{c.numerator}/{c.denominator}"
+        # every zero slot shares one string: a fine lattice is mostly zeros
+        coeffs = [f"{c.numerator}/{c.denominator}" if c else "0/1" for c in self.coeffs]
         return {"denominator": self.den, "lowest": self.lowest, "coeffs": coeffs,
                 "order": self.order}
 

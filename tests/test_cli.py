@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetchar.cli import main
 
@@ -217,3 +220,56 @@ def test_unwritable_output_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write /nonexistent/x.json") and err.count("\n") == 1
+
+
+# half of them in range for every model; then any integer pair, or malformed text
+_LABEL_TEXT = st.one_of(
+    st.builds("{},{}".format, st.integers(1, 2), st.integers(1, 2)),
+    st.one_of(
+        st.builds("{},{}".format, st.integers(-1, 11), st.integers(-1, 11)),
+        st.text(alphabet="0123456789,-x ", max_size=6),
+    ),
+)
+# half of them valid models; then any pair, coprime or not
+_MODEL = st.one_of(
+    st.sampled_from(((4, 3), (5, 3), (5, 4), (7, 4), (9, 5), (8, 7))),
+    st.tuples(st.integers(3, 9), st.integers(3, 9)),
+)
+
+
+@st.composite
+def _fusion_or_classify_argv(draw):
+    tail = []
+    if draw(st.booleans()):
+        tail = ["--format", draw(st.sampled_from(("json", "csv", "text", "xml")))]
+    if draw(st.integers(0, 4)) == 0:
+        return ["classify", *tail]
+    argv = ["fusion", draw(st.sampled_from(("vir", "ext")))]
+    argv += [str(x) for x in draw(_MODEL)[:draw(st.sampled_from((0, 1, 2, 2)))]]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append("--table")
+    for flag in ("--a", "--b"):
+        if draw(st.integers(0, 4)):
+            text = draw(_LABEL_TEXT)
+            argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    return argv + tail
+
+
+@given(argv=_fusion_or_classify_argv())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fusion_and_classify_grammar_fuzz(argv):
+    # exit 0 or 2 only; argparse's SystemExit(2) is the one exception that may
+    # escape main, and a usage error leaves stdout empty
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            assert out.getvalue() == "", argv
+            return
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    else:
+        assert code == 0 and err.getvalue() == "", argv

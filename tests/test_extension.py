@@ -1,10 +1,14 @@
 import itertools
 import json
 import warnings
+from fractions import Fraction
 
 import pytest
 
+from cosetchar.coset import COSET_DECOMPOSITION
 from cosetchar.extension import (
+    MODEL,
+    SIMPLE_CURRENT,
     ExtLabel,
     ExtModuleSum,
     FixedPointFusionWarning,
@@ -183,6 +187,29 @@ def test_integer_weight_gap_scan():
     assert decomposition_orbits == {(1, 1): 10, (2, 1): 6, (3, 1): 2}
 
 
+def test_monodromy_census():
+    # monodromy charge Q(x) = h(J x) - h(x) mod 1 of the simple current
+    # J = (6,1): untwisted orbits (Q = 0) are ordinary modules of the
+    # extension, twisted ones (Q = 1/2) are Z2-twisted, and fusion is graded
+    labels = MODEL.canonical_labels()
+
+    def charge(x):
+        ((jx, _),) = MODEL.fuse(SIMPLE_CURRENT, x)
+        return (MODEL.conformal_weight(jx) - MODEL.conformal_weight(x)) % 1
+
+    q = {x: charge(x) for x in labels}
+    assert set(q.values()) == {0, Fraction(1, 2)}
+    orbits, fixed = classify_ext_modules()
+    twisted = [o for o in orbits if q[o.constituents[0]]]
+    assert twisted == [ext_label(r, s) for r in (1, 2, 3) for s in (2, 4)]
+    assert all(q[o.constituents[1]] == q[o.constituents[0]] for o in orbits)
+    assert all(q[x] == 0 for x in fixed)
+    assert all(q[MODEL.canon(v)] == 0 for _, v in COSET_DECOMPOSITION.rows())
+    for a, b in itertools.product(labels, repeat=2):
+        for c, _ in MODEL.fuse(a, b):
+            assert q[c] == (q[a] + q[b]) % 1, (a, b, c)
+
+
 @pytest.mark.parametrize("ca, cb", [(2, 0), (0, 2), (-1, 0), (0, -1)])
 def test_ext_fuse_rejects_constituent_index(ca, cb):
     with pytest.raises(ValueError, match="constituent index"):
@@ -241,6 +268,23 @@ def test_multiset_repr_names_its_class(cls, keys, twins):
     a, _, c = keys
     assert repr(cls({c: 1, a: 2})) == f"<{cls.__name__} 2*{a} + {c}>"
     assert repr(cls({})) == f"<{cls.__name__} 0>"
+
+
+@pytest.mark.parametrize(
+    "ms, other",
+    [
+        pytest.param(MODEL.fuse(L(2, 1), L(2, 1)), {L(1, 1): -1}, id="negative-mult"),
+        pytest.param(MODEL.fuse(L(2, 1), L(2, 1)), {L(1, 1): "1"}, id="non-int-mult"),
+        pytest.param(MODEL.fuse(L(1, 1), L(1, 1)), {ExtLabel(1, 1): 1}, id="ext-key-in-vir"),
+        pytest.param(ExtModuleSum({ext_label(1, 1): 1}), {"x": 1}, id="foreign-key"),
+        pytest.param(ExtModuleSum({ext_label(1, 1): 1}), {L(1, 1): 1}, id="kac-key-in-ext"),
+    ],
+)
+def test_multiset_never_equals_dict_of_other_labels(ms, other):
+    # a dict that is not a valid multiset of this class's labels compares
+    # unequal instead of raising or being read as the other label kind
+    assert not ms == other
+    assert ms != other
 
 
 def test_ext_module_sum_folds_orbits():

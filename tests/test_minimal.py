@@ -303,6 +303,16 @@ def test_fusion_ring_axioms_sweep():
             assert left == right, (model, a, b, c)
 
 
+def test_fuse_returns_one_shared_read_only_result():
+    a, b = L(2, 1), L(3, 4)
+    out = M107.fuse(a, b)
+    assert M107.fuse(a, b) is out
+    assert M107.fuse(M107.kac_partner(a), b) is out  # same class, same object
+    with pytest.raises(TypeError):
+        out.mults[L(1, 1)] = 1
+    assert out == M107.fuse(b, a) and L(1, 1) not in out.mults
+
+
 def test_module_sum_addition_and_json():
     a = M107.fuse(L(2, 1), L(2, 1))
     b = M107.fuse(L(1, 1), L(3, 1))
