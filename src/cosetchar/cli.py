@@ -215,6 +215,8 @@ def cmd_fusion(args) -> tuple[str, int]:
         model = MinimalModel(args.p, args.q)
         fuse, labels, make = model.fuse, model.canonical_labels, KacLabel
     else:
+        if args.p is not None or args.q is not None:
+            raise UsageError("fusion ext takes no positional P Q")
         fuse, labels, make = extension.ext_fuse, extension.ext_irreducibles, extension.ext_label
     if args.table:
         pairs = itertools.product(labels(), repeat=2)

@@ -10,10 +10,10 @@ only through a flag.
 Extended fusion is computed by inducing: pick one Virasoro constituent of
 each factor, fuse them in the minimal model, then replace every label in the
 result by its orbit.  An orbit picked up through both of its members counts
-twice; the outcome does not depend on which constituents were chosen.  The
-result is an ``ExtModuleSum``: the minimal model's ``ModuleSum`` multiset
-with every label folded onto its orbit representative.  The constituent
-fusion it starts from is the minimal model's cached, read-only result.
+twice; the outcome does not depend on which constituents were chosen.  Each
+label looks its constituent pair up once and keeps it.  The minimal model's
+cached product is already canonical, so ``ext_fuse`` folds it straight onto
+orbit representatives and builds the ``ExtModuleSum`` unchecked.
 ``fusion_entries`` is the one builder of JSON-ready fusion entries, for
 ``fusion_table`` and for both scopes of the ``fusion`` command.
 """
@@ -24,6 +24,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .minimal import KacLabel, MinimalModel, ModuleSum
 
@@ -66,7 +67,7 @@ class ExtLabel:
     r: int
     s: int
 
-    @property
+    @cached_property
     def constituents(self) -> tuple[KacLabel, KacLabel]:
         return (
             MODEL.canon(KacLabel(self.r, self.s)),
@@ -137,21 +138,25 @@ def ext_fuse(
     orbit; multiplicities from the two members of one orbit add.  The choice
     of constituents (indices 0 or 1) does not change the result.
     """
-    for index in (constituent_a, constituent_b):
+    picked = []
+    for lab, index in ((a, constituent_a), (b, constituent_b)):
         if index not in (0, 1):
             raise ValueError(f"constituent index must be 0 or 1, got {index!r}")
-    for lab in (a, b):
         if not (1 <= lab.r <= 3 and 1 <= lab.s <= 9):
             raise ValueError(f"{lab} is not an irreducible extended label")
-        if lab.fixed_point:
+        pair = lab.constituents
+        if pair[0] == pair[1]:
             warnings.warn(
                 f"{lab} is a fixed point; fusion is formal bookkeeping",
                 FixedPointFusionWarning,
                 stacklevel=2,
             )
-    va = a.constituents[constituent_a]
-    vb = b.constituents[constituent_b]
-    return ExtModuleSum({ExtLabel(lab.r, lab.s): m for lab, m in MODEL.fuse(va, vb)})
+        picked.append(pair[index])
+    out = {}
+    for lab, m in MODEL.fuse(*picked):
+        key = ExtLabel(lab.r, min(lab.s, 10 - lab.s))
+        out[key] = out.get(key, 0) + m
+    return ExtModuleSum._from_mults(out)
 
 
 def fusion_entries(fuse, pairs) -> list[dict]:

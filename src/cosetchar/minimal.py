@@ -7,10 +7,12 @@ with ``1 <= r <= q-1`` and ``1 <= s <= p-1``, identified in pairs under
 levels q-2 (on r) and p-2 (on s), read through the Kac identification; since
 one of p, q is odd, at most one label of each pair occurs, so multiplicities
 are 0 or 1.  ``fuse`` builds each product once and returns that cached,
-read-only ``ModuleSum`` on every later call.  The admissible-triple conditions
-(triangle inequalities, parity, and the range caps 2q-1 / 2p-1 on the label
-sums) survive as ``MinimalModel.is_admissible`` and as the test suite's
-reference for fusion.
+read-only ``ModuleSum`` on every later call.  That product and a sum of two
+multisets hold distinct canonical labels already, so the trusted
+``ModuleSum._from_mults`` builds them with no re-check and no re-fold.  The
+admissible-triple conditions (triangle inequalities, parity, and the range
+caps 2q-1 / 2p-1 on the label sums) survive as ``MinimalModel.is_admissible``
+and as the test suite's reference for fusion.
 """
 
 from __future__ import annotations
@@ -47,14 +49,23 @@ class ModuleSum:
     _label = KacLabel
 
     def __init__(self, mults: dict):
-        if any(m < 0 for m in mults.values()):
-            raise ValueError("multiplicities must be nonnegative")
         acc = {}
         for lab, m in mults.items():
+            if not isinstance(lab, self._label):
+                raise TypeError(f"key {lab!r} is not of type {self._label.__name__}")
+            if m < 0:
+                raise ValueError("multiplicities must be nonnegative")
             if m:
                 key = self._key(lab)
                 acc[key] = acc.get(key, 0) + m
         self.mults = MappingProxyType(dict(sorted(acc.items())))
+
+    @classmethod
+    def _from_mults(cls, mults: dict) -> "ModuleSum":
+        """Trusted: positive multiplicities on distinct, already folded ``_label`` keys."""
+        out = object.__new__(cls)
+        out.mults = MappingProxyType(dict(sorted(mults.items())))
+        return out
 
     def __eq__(self, other):
         if isinstance(other, dict):
@@ -74,10 +85,10 @@ class ModuleSum:
         return self.mults.get(self._key(label), 0)
 
     def __add__(self, other: "ModuleSum") -> "ModuleSum":
-        out = dict(self.mults)
-        for lab, m in other.mults.items():
-            out[lab] = out.get(lab, 0) + m
-        return type(self)(out)
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self.mults, other.mults
+        return self._from_mults({lab: a.get(lab, 0) + b.get(lab, 0) for lab in a | b})
 
     def to_json(self) -> list[dict]:
         return [{"r": lab.r, "s": lab.s, "mult": m} for lab, m in self]
@@ -137,7 +148,9 @@ class MinimalModel:
 
     def canon(self, label: KacLabel) -> KacLabel:
         """Smaller of (r,s) and (q-r,p-s) by (r, then s)."""
-        return min(label, self.kac_partner(label))
+        if not (1 <= label.r < self.q and 1 <= label.s < self.p):
+            self._check(label)  # raises
+        return min(label, KacLabel(self.q - label.r, self.p - label.s))
 
     def canonical_labels(self) -> list[KacLabel]:
         return sorted({self.canon(KacLabel(r, s))
@@ -193,7 +206,7 @@ def _triple_ok(xs: tuple[int, int, int], cap: int) -> bool:
 def _fuse(p, q, t1, t2) -> ModuleSum:
     """The su(2)_{q-2} x su(2)_{p-2} product of two canonical labels, on canonical labels."""
     (r1, s1), (r2, s2) = t1, t2
-    return ModuleSum(
+    return ModuleSum._from_mults(
         {
             KacLabel(*min((r, s), (q - r, p - s))): 1
             for r in range(abs(r1 - r2) + 1, min(r1 + r2, 2 * q - r1 - r2), 2)

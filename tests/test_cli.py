@@ -139,6 +139,13 @@ def test_fusion_ext_table_shape(capsys):
     assert len(data) == 27 * 27
 
 
+@pytest.mark.parametrize("positional", [("4", "6"), ("10", "7"), ("3",)])
+def test_fusion_ext_refuses_positionals(capsys, positional):
+    code, out, err = run(capsys, "fusion", "ext", *positional, "--a", "1,1", "--b", "1,2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_fusion_invalid_label(capsys):
     code, _, err = run(capsys, "fusion", "vir", "10", "7", "--a", "9,1", "--b", "1,1")
     assert code == 2

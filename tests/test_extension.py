@@ -4,6 +4,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetchar.coset import COSET_DECOMPOSITION
 from cosetchar.extension import (
@@ -295,7 +296,74 @@ def test_ext_module_sum_folds_orbits():
 
 
 def test_module_sum_never_equals_ext_module_sum():
-    mults = {ExtLabel(1, 1): 1, ExtLabel(2, 3): 2}
-    assert ModuleSum(mults) != ExtModuleSum(mults)
-    assert ExtModuleSum(mults) != ModuleSum(mults)
+    # the same (r, s) pairs, each class with its own label kind
+    pairs = {(1, 1): 1, (2, 3): 2}
+    vir = ModuleSum({L(r, s): m for (r, s), m in pairs.items()})
+    ext = ExtModuleSum({ExtLabel(r, s): m for (r, s), m in pairs.items()})
+    assert vir != ext
+    assert ext != vir
     assert ModuleSum({}) != ExtModuleSum({})
+
+
+@pytest.mark.parametrize(
+    "cls, key",
+    [
+        pytest.param(ModuleSum, ExtLabel(1, 1), id="ext-key-in-vir"),
+        pytest.param(ModuleSum, (1, 1), id="tuple-key-in-vir"),
+        pytest.param(ModuleSum, "x", id="str-key-in-vir"),
+        pytest.param(ExtModuleSum, L(1, 9), id="kac-key-in-ext"),
+        pytest.param(ExtModuleSum, "x", id="str-key-in-ext"),
+    ],
+)
+def test_multiset_rejects_keys_of_another_kind(cls, key):
+    with pytest.raises(TypeError, match="is not of type"):
+        cls({key: 1})
+
+
+def test_module_sums_of_different_classes_do_not_add():
+    vir, ext = ModuleSum({L(1, 1): 1}), ExtModuleSum({ExtLabel(1, 1): 1})
+    with pytest.raises(TypeError):
+        vir + ext
+    with pytest.raises(TypeError):
+        ext + vir
+
+
+def test_ext_fuse_equals_validating_constructor():
+    # the trusted fold in ext_fuse against the public constructor's fold of
+    # the same constituent product, for every pair and constituent choice
+    labels = ext_irreducibles()
+    for a, b in itertools.product(labels, repeat=2):
+        for i, j in itertools.product((0, 1), repeat=2):
+            va, vb = a.constituents[i], b.constituents[j]
+            want = ExtModuleSum({ExtLabel(lab.r, lab.s): m for lab, m in MODEL.fuse(va, vb)})
+            got = ext_fuse(a, b, i, j)
+            assert got == want and list(got) == list(want), (a, b, i, j)
+
+
+_MULTS = st.integers(0, 3)
+_KAC_DICTS = st.dictionaries(st.builds(L, st.integers(1, 6), st.integers(1, 9)), _MULTS)
+_EXT_DICTS = st.dictionaries(st.builds(ExtLabel, st.integers(1, 3), st.integers(1, 9)), _MULTS)
+
+
+@given(data=st.one_of(st.tuples(st.just(ModuleSum), _KAC_DICTS, _KAC_DICTS),
+                      st.tuples(st.just(ExtModuleSum), _EXT_DICTS, _EXT_DICTS)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sum_equals_constructor_over_merged_dict(data):
+    cls, x, y = data
+    merged = {k: x.get(k, 0) + y.get(k, 0) for k in {**x, **y}}
+    total, want = cls(x) + cls(y), cls(merged)
+    assert type(total) is cls
+    assert total == want and list(total) == list(want)
+
+
+def test_constituents_computed_once_and_label_unchanged():
+    for r, s in itertools.product(range(1, 4), range(1, 10)):
+        fresh = ExtLabel(r, s)
+        pair = fresh.constituents
+        assert pair == (MODEL.canon(L(r, s)), MODEL.canon(L(7 - r, s)))
+        assert fresh.constituents is pair
+        # equality, hash, order and repr see only the fields
+        untouched = ExtLabel(r, s)
+        assert fresh == untouched and hash(fresh) == hash(untouched)
+        assert not fresh < untouched and not untouched < fresh
+        assert repr(fresh) == repr(untouched) == f"ExtLabel(r={r}, s={s})"

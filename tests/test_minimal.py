@@ -63,6 +63,18 @@ def test_out_of_range_label_raises():
         M107.conformal_weight(L(1, 0))
 
 
+@pytest.mark.parametrize("p, q", [(4, 3), (5, 3), (10, 7), (11, 8)])
+def test_canon_range_error_text(p, q):
+    model = MinimalModel(p, q)
+    for label in (L(0, 1), L(q, 1), L(1, 0), L(1, p)):
+        with pytest.raises(ValueError) as canon_err:
+            model.canon(label)
+        assert str(canon_err.value) == f"label {label} outside 1..{q - 1} x 1..{p - 1}"
+    for r, s in itertools.product(range(1, q), range(1, p)):
+        label = L(r, s)
+        assert model.canon(label) == min(label, model.kac_partner(label))
+
+
 def test_kac_symmetry_many_models():
     for p, q in [(10, 7), (7, 4), (5, 3), (5, 4), (9, 8), (11, 3)]:
         model = MinimalModel(p, q)
