@@ -3,6 +3,13 @@
 Every command prints deterministic output (JSON, CSV or plain text) built
 from exact rationals; no floats anywhere.  Exit codes: 0 on success or a
 passing verification, 1 when a verification fails, 2 on usage errors.
+
+Each subcommand names its handler and declares only the flags it reads:
+``--format`` and ``--output`` on all of them, ``--order`` and ``--max-order``
+on ``char``, ``verify`` and ``singular``.  ``char`` has one parser for its
+three kinds; ``CHAR_FLAGS`` says which label flags each kind needs, and a
+label flag of another kind is refused.  An undeclared or abbreviated flag
+is a usage error too.
 """
 
 from __future__ import annotations
@@ -28,13 +35,8 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                     help="number of coefficient levels beyond the leading term")
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sub.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
-    sub.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                     help="refuse orders above this cap")
+# label flags of each char kind, in the order of the label's constructor
+CHAR_FLAGS = {"vir": ("p", "q", "r", "s"), "osp": ("level", "r"), "sl2": ("level", "i")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,22 +47,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("kac-table", help="conformal weight grid of a minimal model")
+    def command(name, handler, help, orders=False):
+        # no abbreviations: a prefix such as --t would otherwise be read as
+        # another command's flag (--table of fusion)
+        p = subs.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
+        if orders:
+            p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                           help="number of coefficient levels beyond the leading term")
+            p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                           help="refuse orders above this cap")
+        return p
+
+    p = command("kac-table", cmd_kac_table, "conformal weight grid of a minimal model")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    _common_flags(p)
 
-    p = subs.add_parser("char", help="q-expansion of an irreducible character")
-    p.add_argument("kind", choices=("vir", "osp", "sl2"))
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--level", type=int)
-    p.add_argument("--i", type=int)
-    _common_flags(p)
+    p = command("char", cmd_char, "q-expansion of an irreducible character", orders=True)
+    p.add_argument("kind", choices=CHAR_FLAGS)
+    for flag in dict.fromkeys(f for flags in CHAR_FLAGS.values() for f in flags):
+        p.add_argument(f"--{flag}", type=int)
 
-    p = subs.add_parser("verify", help="run a coefficientwise verification")
+    p = command("verify", cmd_verify, "run a coefficientwise verification", orders=True)
     p.add_argument(
         "which",
         choices=("central-charge", "decomposition", "even-refinement",
@@ -68,30 +78,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--perturb", metavar="ROW:COL:DELTA",
                    help="test mode: shift one summand coefficient before comparing")
-    _common_flags(p)
 
-    p = subs.add_parser("fusion", help="fusion products and tables")
+    p = command("fusion", cmd_fusion, "fusion products and tables")
     p.add_argument("scope", choices=("vir", "ext"))
     p.add_argument("p", type=int, nargs="?")
     p.add_argument("q", type=int, nargs="?")
     p.add_argument("--a", metavar="R,S", help="first label")
     p.add_argument("--b", metavar="R,S", help="second label")
     p.add_argument("--table", action="store_true", help="full fusion table")
-    _common_flags(p)
 
-    p = subs.add_parser("classify", help="orbit and fixed-point census of the extension")
-    _common_flags(p)
+    command("classify", cmd_classify, "orbit and fixed-point census of the extension")
 
-    p = subs.add_parser("weights", help="branching weights and lowest spaces")
+    p = command("weights", cmd_weights, "branching weights and lowest spaces")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--r", type=int, help="restrict to one module")
-    _common_flags(p)
 
-    p = subs.add_parser("singular", help="singular-vector weight ladder")
+    p = command("singular", cmd_singular, "singular-vector weight ladder", orders=True)
     p.add_argument("--alpha", type=int)
     p.add_argument("--beta", type=int)
     p.add_argument("--t", metavar="NUM/DEN", help="evaluate one weight at this t")
-    _common_flags(p)
 
     return parser
 
@@ -142,19 +147,21 @@ def cmd_kac_table(args) -> tuple[str, int]:
 
 
 def cmd_char(args) -> tuple[str, int]:
-    order = args.order
+    order, wanted = args.order, CHAR_FLAGS[args.kind]
+    given = {f: getattr(args, f) for flags in CHAR_FLAGS.values() for f in flags}
+    for flag, value in given.items():
+        if value is not None and flag not in wanted:
+            raise UsageError(f"char {args.kind} does not read --{flag}")
+    values = [given[f] for f in wanted]
+    if None in values:
+        raise UsageError(f"char {args.kind} needs " + " ".join(f"--{f}" for f in wanted))
     if args.kind == "vir":
-        if None in (args.p, args.q, args.r, args.s):
-            raise UsageError("char vir needs --p --q --r --s")
-        series = MinimalModel(args.p, args.q).character(KacLabel(args.r, args.s), order)
+        p, q, r, s = values
+        series = MinimalModel(p, q).character(KacLabel(r, s), order)
     elif args.kind == "osp":
-        if None in (args.level, args.r):
-            raise UsageError("char osp needs --level and --r")
-        series = affine.osp_character(affine.OspLabel(args.level, args.r), order)
+        series = affine.osp_character(affine.OspLabel(*values), order)
     else:
-        if None in (args.level, args.i):
-            raise UsageError("char sl2 needs --level and --i")
-        series = affine.sl2_character(affine.Sl2Label(args.level, args.i), order)
+        series = affine.sl2_character(affine.Sl2Label(*values), order)
     # internal margins may have carried the series further; show the window asked for
     top = series.leading_term()[0] + order
     series = series.truncate(Fraction(int(top * series.den) + 1, series.den))
@@ -183,16 +190,27 @@ def cmd_verify(args) -> tuple[str, int]:
         reports = [coset.singular_ladder(args.order)]
     else:
         reports = coset.run_all(args.order, perturb)
+    return _reports_output(reports, args.format)
+
+
+def _reports_output(reports, fmt: str, candidates: bool = False) -> tuple[str, int]:
+    """Render verification reports; the text form lists candidate rows on request.
+
+    Exit code 1 when any report fails, with its first mismatch on stderr.
+    """
     passed = all(r.passed for r in reports)
-    if args.format == "json":
+    if fmt == "json":
         dicts = [r.to_json_dict() for r in reports]
         text = json.dumps(dicts[0] if len(dicts) == 1 else dicts)
-    elif args.format == "csv":
+    elif fmt == "csv":
         text = "\n".join(r.to_csv() for r in reports)
     else:
         lines = []
         for r in reports:
             lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.check} (order {r.order})")
+            if candidates:
+                for label, (w1, w2) in r.rows:
+                    lines.append(f"  {label}: {_rat(w1)}, {_rat(w2)}")
             for note in r.notes:
                 lines.append(f"  note: {note}")
         text = "\n".join(lines) + "\n"
@@ -328,51 +346,31 @@ def cmd_singular(args) -> tuple[str, int]:
             t = Fraction(args.t)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"--t {args.t!r} is not a rational") from None
+        if args.format == "csv":
+            raise UsageError("direct evaluation has no csv form; use --format json or text")
         value = affine.h_alpha_beta(args.alpha, args.beta, t)
         if args.format == "json":
             return json.dumps({"alpha": args.alpha, "beta": args.beta,
                                "t": _rat(t), "value": _rat(value)}), 0
         return f"{_rat(value)}\n", 0
-    report = coset.singular_ladder(args.order)
-    if args.format == "json":
-        return report.dumps(), 0
-    if args.format == "csv":
-        return report.to_csv(), 0
-    lines = [f"{'PASS' if report.passed else 'FAIL'} singular-ladder (order {report.order})"]
-    for label, (w1, w2) in report.rows:
-        lines.append(f"  {label}: {_rat(w1)}, {_rat(w2)}")
-    for note in report.notes:
-        lines.append(f"  note: {note}")
-    return "\n".join(lines) + "\n", 0 if report.passed else 1
-
-
-_DISPATCH = {
-    "kac-table": cmd_kac_table,
-    "char": cmd_char,
-    "verify": cmd_verify,
-    "fusion": cmd_fusion,
-    "classify": cmd_classify,
-    "weights": cmd_weights,
-    "singular": cmd_singular,
-}
+    return _reports_output([coset.singular_ladder(args.order)], args.format, candidates=True)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     order = getattr(args, "order", 0)
     cap = getattr(args, "max_order", DEFAULT_MAX_ORDER)
     if order < 0 or order > cap:
         print(f"error: order must lie in 0..{cap}", file=sys.stderr)
         return 2
     try:
-        text, code = _DISPATCH[args.command](args)
+        text, code = args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not text.endswith("\n"):
         text += "\n"
-    if getattr(args, "output", None):
+    if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)

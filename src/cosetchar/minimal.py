@@ -53,6 +53,8 @@ class ModuleSum:
         for lab, m in mults.items():
             if not isinstance(lab, self._label):
                 raise TypeError(f"key {lab!r} is not of type {self._label.__name__}")
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise TypeError(f"multiplicity {m!r} of {lab} is not an int")
             if m < 0:
                 raise ValueError("multiplicities must be nonnegative")
             if m:
@@ -69,10 +71,10 @@ class ModuleSum:
 
     def __eq__(self, other):
         if isinstance(other, dict):
-            if not all(isinstance(lab, self._label) and isinstance(m, int) and m >= 0
-                       for lab, m in other.items()):
+            try:
+                other = type(self)(other)
+            except (TypeError, ValueError):
                 return False
-            other = type(self)(other)
         return type(other) is type(self) and self.mults == other.mults
 
     def __iter__(self):

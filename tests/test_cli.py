@@ -229,6 +229,93 @@ def test_unwritable_output_is_usage_error(capsys):
     assert err.startswith("error: cannot write /nonexistent/x.json") and err.count("\n") == 1
 
 
+def _run_caught(argv):
+    """(exit code, stdout, stderr) of main(argv); argparse's SystemExit(2) counts as exit 2.
+
+    Any other exception escapes, as a traceback would.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            assert exc.code == 2 and err.getvalue().startswith("usage: "), argv
+            code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("kac-table", "10", "7", "--order", "5"), "--order"),
+        (("fusion", "ext", "--table", "--max-order", "3"), "--max-order"),
+        (("classify", "--order", "5"), "--order"),
+        (("weights", "--level", "2", "--order", "1"), "--order"),
+        (("char", "vir", "--p", "10", "--q", "7", "--r", "1", "--s", "1", "--level", "2"),
+         "--level"),
+        (("char", "osp", "--level", "1", "--r", "1", "--i", "0"), "--i"),
+        (("char", "sl2", "--level", "2", "--i", "1", "--p", "5"), "--p"),
+        # abbreviations are refused too: --t would otherwise be read as --table
+        (("verify", "all", "--ord", "3"), "--ord"),
+        (("fusion", "ext", "--a", "1,1", "--b", "1,2", "--t"), "--t"),
+    ],
+)
+def test_unread_flag_is_refused(argv, flag):
+    code, out, err = _run_caught(argv)
+    assert code == 2 and out == ""
+    assert flag in err.splitlines()[-1]
+
+
+def test_singular_direct_evaluation_refuses_csv(capsys):
+    code, out, err = run(capsys, "singular", "--alpha", "1", "--beta", "1", "--t", "1/2",
+                         "--format", "csv")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# The flags each subcommand reads (char: per kind), written out independently
+# of the parser; any other flag must be refused.
+_COMMON = ("--format", "--output")
+_ORDERS = ("--order", "--max-order")
+READS = {
+    "kac-table": _COMMON,
+    "char vir": _COMMON + _ORDERS + ("--p", "--q", "--r", "--s"),
+    "char osp": _COMMON + _ORDERS + ("--level", "--r"),
+    "char sl2": _COMMON + _ORDERS + ("--level", "--i"),
+    "verify": _COMMON + _ORDERS + ("--perturb",),
+    "fusion": _COMMON + ("--a", "--b", "--table"),
+    "classify": _COMMON,
+    "weights": _COMMON + ("--level", "--r"),
+    "singular": _COMMON + _ORDERS + ("--alpha", "--beta", "--t"),
+}
+# one accepted argv per READS key, and a well-formed value for each flag that
+# some command does not read (None: a switch)
+_BASE = {
+    "kac-table": ("kac-table", "4", "3"),
+    "char vir": ("char", "vir", "--p", "4", "--q", "3", "--r", "1", "--s", "1", "--order", "0"),
+    "char osp": ("char", "osp", "--level", "1", "--r", "1", "--order", "0"),
+    "char sl2": ("char", "sl2", "--level", "1", "--i", "0", "--order", "0"),
+    "verify": ("verify", "central-charge"),
+    "fusion": ("fusion", "ext", "--a", "1,1", "--b", "1,1"),
+    "classify": ("classify",),
+    "weights": ("weights", "--level", "1"),
+    "singular": ("singular", "--alpha", "1", "--beta", "1", "--t", "1/2"),
+}
+_SAMPLE = {"--order": "0", "--max-order": "200", "--p": "4", "--q": "3", "--r": "1",
+           "--s": "1", "--level": "1", "--i": "0", "--perturb": "0:0:1", "--a": "1,1",
+           "--b": "1,1", "--table": None, "--alpha": "1", "--beta": "1", "--t": "1/2"}
+
+
+def test_every_unread_flag_is_refused():
+    for command, base in _BASE.items():
+        assert _run_caught(base)[0] == 0, base
+        for flag in sorted(set(_SAMPLE) - set(READS[command])):
+            value = _SAMPLE[flag]
+            argv = [*base, flag] if value is None else [*base, flag, value]
+            code, out, err = _run_caught(argv)
+            assert code == 2 and out == "" and flag in err.splitlines()[-1], argv
+
+
 # half of them in range for every model; then any integer pair, or malformed text
 _LABEL_TEXT = st.one_of(
     st.builds("{},{}".format, st.integers(1, 2), st.integers(1, 2)),
@@ -237,46 +324,105 @@ _LABEL_TEXT = st.one_of(
         st.text(alphabet="0123456789,-x ", max_size=6),
     ),
 )
-# half of them valid models; then any pair, coprime or not
-_MODEL = st.one_of(
-    st.sampled_from(((4, 3), (5, 3), (5, 4), (7, 4), (9, 5), (8, 7))),
-    st.tuples(st.integers(3, 9), st.integers(3, 9)),
-)
+
+
+def _mostly(valid, wide):
+    """Draws from valid three times in four, else from wide."""
+    return st.integers(0, 3).flatmap(lambda k: wide if k == 0 else valid)
+
+
+# small sizes only: p, q <= 12, level <= 5, order <= 40.  OUT and MISSING
+# stand for a writable and an unwritable path.
+_VALUES = {
+    "--format": _mostly(st.sampled_from(("json", "csv", "text")), st.just("xml")),
+    "--output": st.sampled_from(("OUT", "MISSING")),
+    "--order": _mostly(st.integers(0, 40), st.integers(-1, 40)),
+    "--max-order": _mostly(st.integers(40, 200), st.integers(-1, 40)),
+    "--p": _mostly(st.sampled_from((5, 10, 11)), st.integers(2, 12)),
+    "--q": _mostly(st.sampled_from((3, 4, 7)), st.integers(2, 12)),
+    "--r": _mostly(st.integers(1, 2), st.integers(0, 12)),
+    "--s": _mostly(st.integers(1, 2), st.integers(0, 12)),
+    "--level": _mostly(st.integers(1, 5), st.integers(-1, 5)),
+    "--i": _mostly(st.integers(0, 1), st.integers(-1, 6)),
+    "--perturb": _mostly(
+        st.builds("{}:{}:{}".format, st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)),
+        st.one_of(
+            st.builds("{}:{}:{}".format, st.integers(-1, 6), st.integers(-1, 41),
+                      st.integers(-2, 2)),
+            st.text(alphabet="0123456789:-x", max_size=6),
+        ),
+    ),
+    "--a": _LABEL_TEXT,
+    "--b": _LABEL_TEXT,
+    "--table": None,
+    "--alpha": st.integers(-4, 4),
+    "--beta": st.integers(-4, 4),
+    "--t": _mostly(st.sampled_from(("10/7", "5/4", "-3/2")), st.sampled_from(("0", "1/0", "x"))),
+}
+# positionals after the command words of each READS key
+_POSITIONALS = {
+    "kac-table": _mostly(st.tuples(st.integers(3, 12), st.integers(3, 12)),
+                         st.lists(st.integers(2, 12), max_size=3)),
+    "char vir": st.just(()),
+    "char osp": st.just(()),
+    "char sl2": st.just(()),
+    "verify": st.tuples(st.sampled_from(("decomposition", "all", "central-charge",
+                                         "even-refinement", "singular-ladder", "x"))),
+    "fusion": _mostly(
+        st.one_of(st.just(("ext",)),
+                  st.sampled_from(((4, 3), (5, 4), (7, 5), (12, 11))).map(lambda m: ("vir", *m))),
+        st.tuples(st.sampled_from(("vir", "ext")),
+                  *[st.integers(2, 12)] * 2).map(lambda t: t[:1] + t[1:][:t[1] % 3]),
+    ),
+    "classify": st.just(()),
+    "weights": st.just(()),
+    "singular": st.just(()),
+}
 
 
 @st.composite
-def _fusion_or_classify_argv(draw):
-    tail = []
-    if draw(st.booleans()):
-        tail = ["--format", draw(st.sampled_from(("json", "csv", "text", "xml")))]
+def _cli_argv(draw, command):
+    argv = [*command.split(), *map(str, draw(_POSITIONALS[command]))]
+    own = READS[command]
+    # each flag of the command never, half or nine tenths of the time, --output
+    # rarely (it empties stdout); a fifth of the argvs add one flag of another
+    keep = draw(st.sampled_from((0, 1, 9)))
+    flags = [f for f in own if f != "--output" and draw(st.integers(0, keep))]
+    if draw(st.integers(0, 7)) == 0:
+        flags.append("--output")
     if draw(st.integers(0, 4)) == 0:
-        return ["classify", *tail]
-    argv = ["fusion", draw(st.sampled_from(("vir", "ext")))]
-    argv += [str(x) for x in draw(_MODEL)[:draw(st.sampled_from((0, 1, 2, 2)))]]
-    if draw(st.integers(0, 3)) == 0:
-        argv.append("--table")
-    for flag in ("--a", "--b"):
-        if draw(st.integers(0, 4)):
-            text = draw(_LABEL_TEXT)
-            argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
-    return argv + tail
+        flags.append(draw(st.sampled_from(sorted(set(_VALUES) - set(own)))))
+    for flag in draw(st.permutations(flags)):
+        if _VALUES[flag] is None:
+            argv.append(flag)
+            continue
+        value = str(draw(_VALUES[flag]))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
 
 
-@given(argv=_fusion_or_classify_argv())
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_fusion_and_classify_grammar_fuzz(argv):
-    # exit 0 or 2 only; argparse's SystemExit(2) is the one exception that may
-    # escape main, and a usage error leaves stdout empty
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2, argv
-            assert out.getvalue() == "", argv
-            return
+@pytest.mark.parametrize("command", sorted(READS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_grammar_fuzz(tmp_path_factory, command, data):
+    # exit 0, 1 or 2 only, and no traceback; argparse's SystemExit(2) is the one
+    # exception that may escape main; exit 1 only for a failing (perturbed)
+    # report; stdout empty on exit 2; a flag the subcommand does not read refused
+    argv = data.draw(_cli_argv(command))
+    base = tmp_path_factory.getbasetemp()
+    argv = [a.replace("MISSING", str(base / "missing" / "out.txt"))
+            .replace("OUT", str(base / "out.txt")) for a in argv]
+    code, out, err = _run_caught(argv)
+    given_flags = {a.split("=")[0] for a in argv if a.startswith("--")}
+    assert code in (0, 1, 2), argv
+    if given_flags - set(READS[command]):
+        assert code == 2, argv
     if code == 2:
-        assert out.getvalue() == "", argv
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        assert out == "", argv
+        # argparse's usage message, or one line from main
+        assert err.startswith("usage: ") or (
+            err.startswith("error: ") and err.count("\n") == 1), argv
+    elif code == 1:
+        assert "--perturb" in given_flags and "first mismatch" in err, argv
     else:
-        assert code == 0 and err.getvalue() == "", argv
+        assert err == "", argv

@@ -18,7 +18,13 @@ from cosetchar.coset import (
     _sum_rule,
     _summand_series,
 )
-from cosetchar.affine import OspLabel, branch_character, osp_central_charge, osp_weight
+from cosetchar.affine import (
+    OspLabel,
+    branch_character,
+    osp_central_charge,
+    osp_character,
+    osp_weight,
+)
 from cosetchar.cli import DEFAULT_MAX_ORDER
 from cosetchar.minimal import MinimalModel
 from cosetchar.series import _ceil, euler_product, monomial, theta_null, weighted_theta
@@ -296,3 +302,82 @@ def test_decomposition_spec_is_the_documented_pairing():
         (3, (3, 1)), (3, (4, 1)),
         (5, (2, 1)), (5, (5, 1)),
     ]
+
+
+# -- the decomposition as an output ---------------------------------------------
+
+
+def _solve(columns, target):
+    """Gauss-Jordan elimination of sum_j n_j * columns[j] = target over Fraction.
+
+    Returns (rank, consistent, solution); solution is None unless it is unique.
+    """
+    rows = [[F(c[k]) for c in columns] + [F(target[k])] for k in range(len(target))]
+    rank = 0
+    for j in range(len(columns)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = [x / rows[rank][j] for x in rows[rank]]
+        rows = [row if row[j] == 0 else [a - row[j] * b for a, b in zip(row, lead)]
+                for row in rows]
+        rows[rank] = lead
+        rank += 1
+    consistent = all(row[-1] == 0 for row in rows[rank:])
+    unique = consistent and rank == len(columns)
+    return rank, consistent, [row[-1] for row in rows[:rank]] if unique else None
+
+
+def _lattice_candidates(model):
+    """The (level-2 module r, canonical label) pairs whose products share the square's lattice.
+
+    The tensor square has exponents only in BASE_EXPONENT + Z, so a pair
+    can occur only when h_r + h_lambda is an integer.
+    """
+    candidates = [(r, lab) for r in (1, 3, 5) for lab in model.canonical_labels()]
+    assert len(candidates) == 81
+    return [(r, lab) for r, lab in candidates
+            if (osp_weight(2, r) + model.conformal_weight(lab)).denominator == 1]
+
+
+@pytest.mark.parametrize("order", [40, 120])
+def test_decomposition_is_the_unique_solution_over_all_candidates(order):
+    model = MinimalModel(10, 7)
+    kept = _lattice_candidates(model)
+    assert len(kept) == 6
+    ch = osp_character(OspLabel(1, 1), order)
+    columns = [_coeff_row(osp_character(OspLabel(2, r), order) * model.character(lab, order),
+                          order) for r, lab in kept]
+    rank, consistent, solution = _solve(columns, _coeff_row(ch * ch, order))
+    assert (rank, consistent) == (6, True)
+    derived = {(r, lab): n for (r, lab), n in zip(kept, solution) if n}
+    stated = {(osp.r, model.canon(vir)): 1 for osp, vir in COSET_DECOMPOSITION.rows()}
+    assert derived == stated
+
+
+@pytest.mark.parametrize("order", [40, 120])
+def test_parity_decomposition_over_all_candidates(order):
+    # the even parts alone fix the multiplicities; the odd parts satisfy one
+    # linear relation, (L0 odd)(V(1,1) - V(6,1)) + (M3 odd)(V(3,1) - V(4,1))
+    # = (M5 odd)(V(2,1) - V(5,1)), so they fix them only together with the even parts
+    model = MinimalModel(10, 7)
+    kept = _lattice_candidates(model)
+    e, o = (branch_character(1, 1, parity, order) for parity in ("even", "odd"))
+    squares = {"even": e * e + o * o, "odd": (e * o).scaled(2)}
+    systems = {
+        parity: ([_coeff_row(branch_character(2, r, parity, order) * model.character(lab, order),
+                             order) for r, lab in kept], _coeff_row(square, order))
+        for parity, square in squares.items()
+    }
+    assert _solve(*systems["even"]) == (6, True, [1] * 6)
+    odd_columns, odd_target = systems["odd"]
+    assert _solve(odd_columns, odd_target) == (5, True, None)
+    relation = {(1, (1, 1)): -1, (1, (1, 9)): 1, (3, (3, 1)): -1, (3, (3, 9)): 1,
+                (5, (2, 1)): 1, (5, (2, 9)): -1}
+    weights = [relation[r, (lab.r, lab.s)] for r, lab in kept]
+    for k in range(order + 1):
+        assert sum(n * col[k] for n, col in zip(weights, odd_columns)) == 0
+        assert sum(col[k] for col in odd_columns) == odd_target[k]
+    both = [even + odd for even, odd in zip(systems["even"][0], odd_columns)]
+    assert _solve(both, systems["even"][1] + odd_target) == (6, True, [1] * 6)

@@ -247,6 +247,16 @@ def test_multiset_rejects_negative_multiplicities(cls, keys, twins):
         cls({twins[0]: -1, twins[1]: 2})
 
 
+@pytest.mark.parametrize("mult", [1.5, 1.0, Fraction(1), "1", None, True, False])
+@pytest.mark.parametrize("cls, keys, twins", MULTISETS)
+def test_multiset_rejects_non_int_multiplicities(cls, keys, twins, mult):
+    with pytest.raises(TypeError, match="is not an int"):
+        cls({keys[0]: mult})
+    # equality with a dict follows the constructor: such a dict equals nothing
+    assert cls({keys[0]: 1}) != {keys[0]: mult}
+    assert cls({}) != {keys[0]: mult}
+
+
 @pytest.mark.parametrize("cls, keys, twins", MULTISETS)
 def test_multiset_drops_zeros_and_sorts_keys(cls, keys, twins):
     a, b, c = keys
