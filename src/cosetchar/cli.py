@@ -6,10 +6,10 @@ passing verification, 1 when a verification fails, 2 on usage errors.
 
 Each subcommand names its handler and declares only the flags it reads:
 ``--format`` and ``--output`` on all of them, ``--order`` and ``--max-order``
-on ``char``, ``verify`` and ``singular``.  ``char`` has one parser for its
-three kinds; ``CHAR_FLAGS`` says which label flags each kind needs, and a
-label flag of another kind is refused.  An undeclared or abbreviated flag
-is a usage error too.
+on ``char``, ``verify`` and ``singular`` (``verify central-charge`` refuses
+them).  ``char`` has one parser for its three kinds; ``CHAR_FLAGS`` says
+which label flags each kind needs, and a label flag of another kind is
+refused.  An undeclared or abbreviated flag is a usage error too.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
         if orders:
-            p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+            p.add_argument("--order", type=int, default=argparse.SUPPRESS,
                            help="number of coefficient levels beyond the leading term")
-            p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+            p.add_argument("--max-order", type=int, default=argparse.SUPPRESS,
                            help="refuse orders above this cap")
         return p
 
@@ -181,6 +181,8 @@ def cmd_verify(args) -> tuple[str, int]:
     if perturb and args.which not in ("decomposition", "all"):
         raise UsageError("--perturb only applies to the decomposition check")
     if args.which == "central-charge":
+        if args.order_flags:
+            raise UsageError(f"verify central-charge does not read {args.order_flags[0]}")
         reports = [coset.verify_central_charge()]
     elif args.which == "decomposition":
         reports = [coset.verify_decomposition(args.order, perturb)]
@@ -358,8 +360,10 @@ def cmd_singular(args) -> tuple[str, int]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    order = getattr(args, "order", 0)
-    cap = getattr(args, "max_order", DEFAULT_MAX_ORDER)
+    ns = vars(args)  # the order flags are absent unless given; note which, then default
+    args.order_flags = [f"--{f.replace('_', '-')}" for f in ("order", "max_order") if f in ns]
+    order = ns.setdefault("order", DEFAULT_ORDER)
+    cap = ns.setdefault("max_order", DEFAULT_MAX_ORDER)
     if order < 0 or order > cap:
         print(f"error: order must lie in 0..{cap}", file=sys.stderr)
         return 2
@@ -370,12 +374,13 @@ def main(argv=None) -> int:
         return 2
     if not text.endswith("\n"):
         text += "\n"
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            path = args.output or "''"
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

@@ -17,8 +17,9 @@ from one builder that walks its pairings: the level-2 factor of each pairing
 is the osp character for the plain table and one parity part of it (along
 the sl2 x Virasoro branching) for the even/odd refinement.  The plain
 coefficient table of each order (six product rows, then the tensor-square
-row) is built once and cached; every check is a reader of it.  One sum rule
-compares the column sums of product rows with a target row: the
+row) is built once and cached; every check is a reader of it.  Its entries,
+column sums and comparisons are ``int``s, as ``coeff_row`` returns them.
+One sum rule compares the column sums of product rows with a target row: the
 decomposition applies it after any perturbation, the parity refinement to
 each parity, and the singular ladder reads the unperturbed comparisons at
 the columns of its candidates.
@@ -85,8 +86,8 @@ COSET_DECOMPOSITION = DecompositionSpec(
 @dataclass(frozen=True)
 class Comparison:
     exponent: Fraction
-    lhs: Fraction
-    rhs: Fraction
+    lhs: int | Fraction
+    rhs: int | Fraction
 
     @property
     def ok(self) -> bool:
@@ -97,7 +98,7 @@ class Comparison:
 class VerificationReport:
     check: str
     order: int
-    rows: tuple[tuple[str, tuple[Fraction, ...]], ...]
+    rows: tuple[tuple[str, tuple[int | Fraction, ...]], ...]
     comparisons: tuple[Comparison, ...]
     passed: bool = field(init=False)
     notes: tuple[str, ...] = field(default=())
@@ -136,11 +137,11 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _json_rat(c: Fraction):
+def _json_rat(c: int | Fraction):
     return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _coeff_row(series: FracSeries, order: int) -> tuple[Fraction, ...]:
+def _coeff_row(series: FracSeries, order: int) -> tuple[int, ...]:
     return series.coeff_row(BASE_EXPONENT, order + 1)
 
 
@@ -167,7 +168,7 @@ def verify_central_charge() -> VerificationReport:
 # -- main decomposition -------------------------------------------------------
 
 
-def _products(order: int, level2, parity: str = "") -> list[tuple[str, tuple[Fraction, ...]]]:
+def _products(order: int, level2, parity: str = "") -> list[tuple[str, tuple[int, ...]]]:
     """The six labelled coefficient rows of ch[level-2 factor] * ch[V].
 
     ``level2(osp_lab)`` builds the level-2 factor of one pairing, once; it
@@ -185,7 +186,7 @@ def _products(order: int, level2, parity: str = "") -> list[tuple[str, tuple[Fra
 
 
 @lru_cache(maxsize=8)
-def _summand_series(order: int) -> tuple[tuple[str, tuple[Fraction, ...]], ...]:
+def _summand_series(order: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """The coefficient table: six product rows, then the row of ch[L(1,0)]^2."""
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -196,7 +197,7 @@ def _summand_series(order: int) -> tuple[tuple[str, tuple[Fraction, ...]], ...]:
 
 def _sum_rule(products, target, order: int):
     """Column sums of the product rows, and their comparisons with the target row."""
-    sums = tuple(sum(coeffs[k] for _, coeffs in products) for k in range(order + 1))
+    sums = tuple(map(sum, zip(*(coeffs for _, coeffs in products))))
     return sums, tuple(Comparison(BASE_EXPONENT + k, target[k], sums[k]) for k in range(order + 1))
 
 
@@ -235,13 +236,10 @@ def verify_decomposition(
 
 def coefficient_table(order: int = 20) -> list[list[int]]:
     """Integer coefficient matrix: six summand rows, target row, column sums."""
-    report = verify_decomposition(order)
-    out = []
-    for _, coeffs in report.rows:
-        if any(c.denominator != 1 for c in coeffs):
-            raise ValueError("non-integer coefficient in normalized table")
-        out.append([int(c) for c in coeffs])
-    return out
+    rows = [list(coeffs) for _, coeffs in verify_decomposition(order).rows]
+    if any(type(c) is not int for row in rows for c in row):
+        raise ValueError("non-integer coefficient in normalized table")
+    return rows
 
 
 # -- parity refinement ---------------------------------------------------------
@@ -271,7 +269,7 @@ _ODD_REFERENCE: dict[str, list[int]] = {
 MAX_REFINEMENT_ORDER = 10
 
 
-def _parity_tables(order: int) -> dict[str, list[tuple[str, tuple[Fraction, ...]]]]:
+def _parity_tables(order: int) -> dict[str, list[tuple[str, tuple[int, ...]]]]:
     """Per parity, the six refined product rows, then the refined target row."""
     # parity parts of the square: even = e^2 + o^2, odd = 2 e o, where e and o
     # are the parity parts of a single level-1 factor
@@ -301,22 +299,15 @@ def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationRep
     comparisons: list[Comparison] = []
     for table in tables.values():
         # (a) reference coefficients
-        for name, coeffs in table:
-            for k, c in enumerate(coeffs):
-                comparisons.append(
-                    Comparison(BASE_EXPONENT + k, c, Fraction(reference[name][k]))
-                )
+        comparisons += [Comparison(BASE_EXPONENT + k, c, reference[name][k])
+                        for name, coeffs in table for k, c in enumerate(coeffs)]
         # (b) containment: the six products of one parity sum to the parity target
         *products, (_, target) = table
         comparisons.extend(_sum_rule(products, target, order)[1])
     # (c) even + odd recombine to the unrefined rows, in matching order
-    for (_, even_coeffs), (_, odd_coeffs), (_, plain_coeffs) in zip(
-        *tables.values(), _summand_series(order)
-    ):
-        for k in range(order + 1):
-            comparisons.append(
-                Comparison(BASE_EXPONENT + k, even_coeffs[k] + odd_coeffs[k], plain_coeffs[k])
-            )
+    for (_, even), (_, odd), (_, plain) in zip(*tables.values(), _summand_series(order)):
+        comparisons += [Comparison(BASE_EXPONENT + k, e + o, c)
+                        for k, (e, o, c) in enumerate(zip(even, odd, plain))]
     return VerificationReport(
         check="even-refinement",
         order=order,

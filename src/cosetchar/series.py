@@ -3,10 +3,11 @@
 A :class:`FracSeries` stores only its nonzero terms, as sorted
 ``(position, coefficient)`` pairs on the exponent lattice ``(1/den)Z``; an
 integer coefficient is a plain ``int``, a ``Fraction`` only when a caller
-passes a non-integer one.  Every operation tracks the largest exponent bound
-below which its result is still exact, so a coefficient can never silently
-degrade into garbage: asking for one at or beyond the bound raises instead
-of returning zero.  A product never multiplies or packs a term that cannot
+passes a non-integer one.  ``coeff`` and ``coeff_row`` return an integral
+coefficient as an ``int`` too.  Every operation tracks the largest exponent
+bound below which its result is still exact, so a coefficient can never
+silently degrade into garbage: asking for one at or beyond the bound raises
+instead of returning zero.  A product never multiplies or packs a term that cannot
 land below its bound.  Small products, and products with a ``Fraction``
 coefficient, loop over pairs of terms; large integer ones pack each residue
 class of each factor into one big ``int`` and let a single multiply do the
@@ -17,15 +18,11 @@ this package is assembled from: plain monomial prefactors, Euler products
 ``prod (1 +- q^n)^e``, theta null sums ``sum_m q^(a(m+b/2a)^2)`` and their
 linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)``, and the private
 assembly ``_character`` that the minimal and affine characters share: theta
-numerator times one combined Euler factor times ``q^(-1/24)`` or
-``q^(-1/8)``, truncated so that it is exact through the requested order.
-Logarithmic derivatives add, so a product of several Euler products comes
-from a single recurrence (``_euler``), cached per parts list and length.
-:meth:`FracSeries.coeff_row` reads a whole row of integer-spaced
-coefficients in one pass.  ``==`` is strict: two series are equal only with
-the same exactness bound and the same nonzero terms.  :func:`equal_through`
-compares two series of any bounds through a given exponent, which both must
-know.
+numerator times one combined Euler factor (one cached ``_euler``
+recurrence), shifted by ``q^(-1/24)`` or ``q^(-1/8)``, exact through the
+requested order.  ``==`` is strict: two series are equal only with the same
+exactness bound and the same nonzero terms.  :func:`equal_through` compares
+two series of any bounds through a given exponent, which both must know.
 """
 
 from __future__ import annotations
@@ -49,8 +46,6 @@ __all__ = [
     "series_from_terms",
     "equal_through",
 ]
-
-_ZERO = Fraction(0)
 
 
 def _ceil(x: Fraction | int) -> int:
@@ -208,28 +203,29 @@ class FracSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, num: int | Fraction, den: int = 1) -> Fraction:
-        """Exact coefficient of ``q**(num/den)``.
+    def coeff(self, num: int | Fraction, den: int = 1) -> int | Fraction:
+        """Exact coefficient of ``q**(num/den)``, an ``int`` when it is integral.
 
-        Zero when the exponent is below the truncation bound but not on the
-        series' exponent lattice.  Raises ValueError at or beyond the bound;
-        an unknown coefficient is never reported as zero.
+        A ``Fraction`` only when it is not, so never one with denominator 1;
+        ``0`` below the truncation bound but off the series' exponent lattice.
+        Raises ValueError at or beyond the bound; an unknown coefficient is
+        never reported as zero.
         """
         return self.coeff_row(Fraction(num, den), 1)[0]
 
-    def coeff_row(self, start: Fraction | int, count: int) -> tuple[Fraction, ...]:
+    def coeff_row(self, start: Fraction | int, count: int) -> tuple[int | Fraction, ...]:
         """Exact coefficients of ``q**(start + k)``, k = 0 .. count-1, in one pass.
 
-        The same values as ``coeff(start + k)`` for each k, and the same
-        ValueError when the last exponent lies at or beyond the bound.  All
-        zeros when start is off the series' exponent lattice.
+        The same values and types as ``coeff(start + k)`` for each k, and the
+        same ValueError when the last exponent lies at or beyond the bound.
+        All zeros when start is off the series' exponent lattice.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
         start = Fraction(start)
         if count:
             self._require_known(start + count - 1)
-        out = [_ZERO] * count
+        out = [0] * count
         scaled = start * self.den
         if scaled.denominator != 1:
             return tuple(out)
@@ -239,7 +235,7 @@ class FracSeries:
                 break
             k, off = divmod(p - first, self.den)
             if not off:
-                out[k] = Fraction(c)
+                out[k] = _exact(c)
         return tuple(out)
 
     def _require_known(self, e: Fraction) -> None:
@@ -539,12 +535,19 @@ def _character(theta_at, euler_parts, eta_den: int, target: Fraction, order: int
     integer (sl2 L(7,5), for one) a margin of 0 would leave the character
     exact only below target.  The margin stays at 2 because it sets every
     character's ``order``, which the Python API exposes.
+
+    ``q^(-1/eta_den)`` is an exact relabel on the lattice ``d = lcm(den,
+    eta_den)``: every term, the first one (the new ``lowest``) and ``order``
+    move from p to ``p*d/den - d/eta_den``.  It equals the product with a
+    monomial, whose own bound lies at least d slots further and never binds.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     out = theta_at(_ceil(target + Fraction(1, eta_den)) + 2) * _euler(euler_parts, order + 2)
-    span = out.order - out.lowest
-    out = out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
+    d = lcm(out.den, eta_den)
+    f, shift = d // out.den, d // eta_den
+    pairs = [(p * f - shift, c) for p, c in out.terms]
+    out = FracSeries._from_terms(d, pairs[0][0], out.order * f - shift, pairs)
     if out.order_exponent <= target:
         raise RuntimeError("internal truncation bookkeeping error")
     return out

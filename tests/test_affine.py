@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from cosetchar import affine, minimal
 from cosetchar.affine import (
     BranchTerm,
     OspLabel,
@@ -23,7 +25,7 @@ from cosetchar.affine import (
     sl2_weight,
 )
 from cosetchar.minimal import KacLabel, MinimalModel
-from cosetchar.series import equal_through
+from cosetchar.series import _ceil, _euler, equal_through, monomial
 
 F = Fraction
 L = KacLabel
@@ -240,3 +242,45 @@ def test_singular_weight_ladder():
     }
     for (r, s), pair in expected.items():
         assert singular_weights(m, L(r, s)) == pair
+
+
+def _monomial_route(theta_at, euler_parts, eta_den, target, order):
+    """``series._character`` with q^(-1/eta_den) applied as a product with a monomial."""
+    out = theta_at(_ceil(target + F(1, eta_den)) + 2) * _euler(euler_parts, order + 2)
+    span = out.order - out.lowest
+    return out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
+
+
+def _characters():
+    """(name, series) for every canonical label of every coprime 3 <= p, q <= 11
+    model at orders 0, 1, 5, 17, and every osp and sl2 module of levels 1-5 at
+    orders 0, 3, 20, 60."""
+    for p in range(3, 12):
+        for q in range(3, 12):
+            if p == q or gcd(p, q) != 1:
+                continue
+            model = MinimalModel(p, q)
+            for lab in model.canonical_labels():
+                for order in (0, 1, 5, 17):
+                    yield f"vir {p} {q} {lab} {order}", model.character(lab, order)
+    for level in range(1, 6):
+        for order in (0, 3, 20, 60):
+            for mod in osp_modules(level):
+                yield f"osp {mod} {order}", osp_character(mod, order)
+            for i in range(level + 1):
+                yield f"sl2 {level} {i} {order}", sl2_character(Sl2Label(level, i), order)
+
+
+def test_character_shift_equals_monomial_route(monkeypatch):
+    # the exact relabel of q^(-1/eta_den) gives the same den, lowest, order
+    # and terms as multiplying by the monomial
+    def key(s):
+        return s.den, s.lowest, s.order, s.terms
+
+    shifted = [(name, key(s)) for name, s in _characters()]
+    monkeypatch.setattr(minimal, "_character", _monomial_route)
+    monkeypatch.setattr(affine, "_character", _monomial_route)
+    multiplied = [(name, key(s)) for name, s in _characters()]
+    assert len(shifted) == len(multiplied) == 3992
+    for (name, got), (_, want) in zip(shifted, multiplied):
+        assert got == want, name

@@ -229,6 +229,21 @@ def test_unwritable_output_is_usage_error(capsys):
     assert err.startswith("error: cannot write /nonexistent/x.json") and err.count("\n") == 1
 
 
+def test_empty_output_path_is_usage_error(capsys):
+    code, out, err = run(capsys, "classify", "--output", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ''") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [("--order", "37"), ("--max-order", "37"),
+                                   ("--order", "0"), ("--order", "20", "--max-order", "200")])
+def test_verify_central_charge_refuses_order_flags(capsys, flags):
+    code, out, err = run(capsys, "verify", "central-charge", *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: verify central-charge does not read {flags[0]}\n"
+
+
 def _run_caught(argv):
     """(exit code, stdout, stderr) of main(argv); argparse's SystemExit(2) counts as exit 2.
 

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -25,7 +28,7 @@ from cosetchar.affine import (
     osp_character,
     osp_weight,
 )
-from cosetchar.cli import DEFAULT_MAX_ORDER
+from cosetchar.cli import DEFAULT_MAX_ORDER, main
 from cosetchar.minimal import MinimalModel
 from cosetchar.series import _ceil, euler_product, monomial, theta_null, weighted_theta
 
@@ -381,3 +384,34 @@ def test_parity_decomposition_over_all_candidates(order):
         assert sum(col[k] for col in odd_columns) == odd_target[k]
     both = [even + odd for even, odd in zip(systems["even"][0], odd_columns)]
     assert _solve(both, systems["even"][1] + odd_target) == (6, True, [1] * 6)
+
+
+# SHA-256 (first 16 hex digits) of run_all's reports, plain and with the last
+# summand entry lowered by 1: every report's dumps(), every report's to_csv(),
+# and exit code, stdout and stderr of `verify all --format text`
+RUN_ALL_SHA256 = {
+    (0, False): ("c5b154dac1021e92", "f6d40e4eea5585a1", "45bd5f92a8cc07fd"),
+    (0, True): ("047e833554d7d1d8", "d5f537b728059cb3", "d516e82575463a67"),
+    (1, False): ("6087906e7bed7e14", "c4c9275ffdd5804a", "4021babb497fce68"),
+    (1, True): ("1a3dbfb6125d9ca8", "f68832c9aa43d4dd", "4f4aa7482e76087d"),
+    (10, False): ("52a2a85c7c446ce1", "a1e32985a7aaaad5", "f5018df1abdb2019"),
+    (10, True): ("741513893a1bf04c", "78735e81a09b5dd0", "772608dcee97dcad"),
+    (40, False): ("dec00c09b52f9840", "f3f6342edbbba6f8", "2603aef6fab4b0b0"),
+    (40, True): ("ca43d76bc4877c4d", "0e1fa19912016f27", "75fbeac5ae8e2b38"),
+    (200, False): ("d5ddd63e99fbdaee", "cc5243bc49b7d304", "12ce84b870a1159d"),
+    (200, True): ("369a1df4901e5b89", "24236f81455234fb", "265653a31a92c2b0"),
+}
+
+
+@pytest.mark.parametrize("order, perturbed", sorted(RUN_ALL_SHA256))
+def test_run_all_outputs_are_pinned(order, perturbed):
+    reports = run_all(order, (5, order, -1) if perturbed else None)
+    argv = ["verify", "all", "--order", str(order), "--format", "text"]
+    argv += ["--perturb", f"5:{order}:-1"] if perturbed else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    forms = ("\n".join(r.dumps() for r in reports), "\n".join(r.to_csv() for r in reports),
+             f"exit {code}\n{out.getvalue()}{err.getvalue()}")
+    digests = tuple(sha256(f.encode()).hexdigest()[:16] for f in forms)
+    assert digests == RUN_ALL_SHA256[order, perturbed]

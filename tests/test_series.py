@@ -338,7 +338,8 @@ def test_coeff_row_matches_coeff(req):
     s, start, count = req
     row = _coeff_row_or_error(s, start, count)
     assert row == _coeffs_or_error(s, start, count)
-    assert row is ValueError or all(type(c) is F for c in row)
+    # an int when integral, a Fraction (never one with denominator 1) otherwise
+    assert row is ValueError or all(type(c) is (int if c.denominator == 1 else F) for c in row)
 
 
 # --- strict comparison --------------------------------------------------------
@@ -662,7 +663,11 @@ def test_integer_coefficients_stay_int():
     assert s.terms == ((0, 2), (1, 1), (3, F(1, 3)))
     assert type(s.terms[0][1]) is int
     assert all(type(c) is int for _, c in (euler_product(-1, -3, 20) * s.truncate(1)).terms)
-    assert s.coeff(0) == 2 and type(s.coeff(0)) is F
+    assert s.coeff(0) == 2 and type(s.coeff(0)) is int
+    assert s.coeff(3, 2) == F(1, 3) and type(s.coeff(3, 2)) is F
+    # arithmetic may store an integral Fraction; coeff still returns an int
+    thirds = s.scaled(F(1, 3)).scaled(3)
+    assert thirds.coeff(0) == 2 and type(thirds.coeff(0)) is int
 
 
 # --- packed (Kronecker) products against the dense reference ----------------
