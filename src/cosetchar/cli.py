@@ -4,12 +4,20 @@ Every command prints deterministic output (JSON, CSV or plain text) built
 from exact rationals; no floats anywhere.  Exit codes: 0 on success or a
 passing verification, 1 when a verification fails, 2 on usage errors.
 
-Each subcommand names its handler and declares only the flags it reads:
-``--format`` and ``--output`` on all of them, ``--order`` and ``--max-order``
-on ``char``, ``verify`` and ``singular`` (``verify central-charge`` refuses
-them).  ``char`` has one parser for its three kinds; ``CHAR_FLAGS`` says
-which label flags each kind needs, and a label flag of another kind is
-refused.  An undeclared or abbreviated flag is a usage error too.
+Each subcommand declares only the flags it reads: ``--format`` and
+``--output`` on all of them, ``--order`` and ``--max-order`` on ``char``,
+``verify`` and ``singular`` (``verify central-charge`` and ``singular``
+direct evaluation refuse them).  ``char`` has one parser for its three
+kinds; ``CHAR_FLAGS`` says which label flags each kind needs, and a label
+flag of another kind is refused.  An undeclared or abbreviated flag is a
+usage error too, and so is a p or q above ``MAX_PQ`` or a level above
+``MAX_LEVEL``.
+
+The grammar is built once per process, when this module is imported, and
+never changes; each ``main`` call parses into a fresh namespace.  The
+handler of subcommand ``name`` is the module function
+``cmd_<name with - as _>``, looked up when ``main`` runs, not when the
+parser is built.
 """
 
 from __future__ import annotations
@@ -25,6 +33,11 @@ from .minimal import KacLabel, MinimalModel, kac_table_csv
 
 DEFAULT_ORDER = 20
 DEFAULT_MAX_ORDER = 200
+# size caps, one for p and q (the model is symmetric in them) and one for the
+# level; the slowest inputs they accept, fusion vir 16 15 --table and
+# weights --level 150, run in about a second (README, "Command line")
+MAX_PQ = 16
+MAX_LEVEL = 150
 
 
 class UsageError(Exception):
@@ -47,11 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, orders=False):
+    def command(name, help, orders=False):
         # no abbreviations: a prefix such as --t would otherwise be read as
         # another command's flag (--table of fusion)
         p = subs.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
         if orders:
@@ -61,16 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="refuse orders above this cap")
         return p
 
-    p = command("kac-table", cmd_kac_table, "conformal weight grid of a minimal model")
+    p = command("kac-table", "conformal weight grid of a minimal model")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
 
-    p = command("char", cmd_char, "q-expansion of an irreducible character", orders=True)
+    p = command("char", "q-expansion of an irreducible character", orders=True)
     p.add_argument("kind", choices=CHAR_FLAGS)
     for flag in dict.fromkeys(f for flags in CHAR_FLAGS.values() for f in flags):
         p.add_argument(f"--{flag}", type=int)
 
-    p = command("verify", cmd_verify, "run a coefficientwise verification", orders=True)
+    p = command("verify", "run a coefficientwise verification", orders=True)
     p.add_argument(
         "which",
         choices=("central-charge", "decomposition", "even-refinement",
@@ -79,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", metavar="ROW:COL:DELTA",
                    help="test mode: shift one summand coefficient before comparing")
 
-    p = command("fusion", cmd_fusion, "fusion products and tables")
+    p = command("fusion", "fusion products and tables")
     p.add_argument("scope", choices=("vir", "ext"))
     p.add_argument("p", type=int, nargs="?")
     p.add_argument("q", type=int, nargs="?")
@@ -87,18 +99,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", metavar="R,S", help="second label")
     p.add_argument("--table", action="store_true", help="full fusion table")
 
-    command("classify", cmd_classify, "orbit and fixed-point census of the extension")
+    command("classify", "orbit and fixed-point census of the extension")
 
-    p = command("weights", cmd_weights, "branching weights and lowest spaces")
+    p = command("weights", "branching weights and lowest spaces")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--r", type=int, help="restrict to one module")
 
-    p = command("singular", cmd_singular, "singular-vector weight ladder", orders=True)
+    p = command("singular", "singular-vector weight ladder", orders=True)
     p.add_argument("--alpha", type=int)
     p.add_argument("--beta", type=int)
     p.add_argument("--t", metavar="NUM/DEN", help="evaluate one weight at this t")
 
     return parser
+
+
+_PARSER = build_parser()
 
 
 # -- per-command renderers -----------------------------------------------------
@@ -344,6 +359,8 @@ def cmd_singular(args) -> tuple[str, int]:
     if args.t is not None or args.alpha is not None or args.beta is not None:
         if None in (args.alpha, args.beta, args.t):
             raise UsageError("direct evaluation needs --alpha, --beta and --t")
+        if args.order_flags:
+            raise UsageError(f"direct evaluation does not read {args.order_flags[0]}")
         try:
             t = Fraction(args.t)
         except (ValueError, ZeroDivisionError):
@@ -359,7 +376,7 @@ def cmd_singular(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     ns = vars(args)  # the order flags are absent unless given; note which, then default
     args.order_flags = [f"--{f.replace('_', '-')}" for f in ("order", "max_order") if f in ns]
     order = ns.setdefault("order", DEFAULT_ORDER)
@@ -367,8 +384,13 @@ def main(argv=None) -> int:
     if order < 0 or order > cap:
         print(f"error: order must lie in 0..{cap}", file=sys.stderr)
         return 2
+    for name, top in (("p", MAX_PQ), ("q", MAX_PQ), ("level", MAX_LEVEL)):
+        if (ns.get(name) or 0) > top:
+            print(f"error: {name} must not exceed {top}", file=sys.stderr)
+            return 2
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        text, code = args.handler(args)
+        text, code = handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,16 +2,17 @@
 
 A :class:`FracSeries` stores only its nonzero terms, as sorted
 ``(position, coefficient)`` pairs on the exponent lattice ``(1/den)Z``; an
-integer coefficient is a plain ``int``, a ``Fraction`` only when a caller
-passes a non-integer one.  ``coeff`` and ``coeff_row`` return an integral
-coefficient as an ``int`` too.  Every operation tracks the largest exponent
-bound below which its result is still exact, so a coefficient can never
-silently degrade into garbage: asking for one at or beyond the bound raises
-instead of returning zero.  A product never multiplies or packs a term that cannot
-land below its bound.  Small products, and products with a ``Fraction``
-coefficient, loop over pairs of terms; large integer ones pack each residue
-class of each factor into one big ``int`` and let a single multiply do the
-convolution (Kronecker substitution), discarding the slots past the bound.
+integral coefficient is a plain ``int`` and a ``Fraction`` only when it is
+not, whether a caller passed it or arithmetic made it: an operation with a
+``Fraction`` operand or factor turns its integral results back into
+``int``.  Every operation tracks the largest exponent bound below which its
+result is still exact, so a coefficient can never silently degrade into
+garbage: asking for one at or beyond the bound raises instead of returning
+zero.  A product never multiplies or packs a term that cannot land below its
+bound.  Small products, and products with a ``Fraction`` coefficient, loop
+over pairs of terms; large integer ones pack each residue class of each
+factor into one big ``int`` and let a single multiply do the convolution
+(Kronecker substitution), discarding the slots past the bound.
 
 The module also provides the handful of special series every character in
 this package is assembled from: plain monomial prefactors, Euler products
@@ -73,6 +74,18 @@ _KRONECKER_MIN_TERMS = 32
 
 def _all_int(*term_lists) -> bool:
     return all(type(c) is int for terms in term_lists for _, c in terms)
+
+
+def _exact_values(acc: dict) -> dict:
+    """acc with every integral coefficient an ``int``; acc itself when all are ints.
+
+    Arithmetic on ints gives ints, and any ``Fraction`` operand gives a
+    ``Fraction``, so the type of one C-level sum tells whether a ``Fraction``
+    took part: the all-int paths pay only that sum.
+    """
+    if type(sum(acc.values())) is int:
+        return acc
+    return {p: _exact(c) for p, c in acc.items()}
 
 
 def _classes(terms, f: int, d: int) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -235,7 +248,7 @@ class FracSeries:
                 break
             k, off = divmod(p - first, self.den)
             if not off:
-                out[k] = _exact(c)
+                out[k] = c
         return tuple(out)
 
     def _require_known(self, e: Fraction) -> None:
@@ -283,7 +296,7 @@ class FracSeries:
             for p, c in terms:
                 if p * f < order:
                     acc[p * f] += c
-        return FracSeries._from_terms(d, lowest, order, acc.items())
+        return FracSeries._from_terms(d, lowest, order, _exact_values(acc).items())
 
     def __neg__(self) -> "FracSeries":
         return self.scaled(-1)
@@ -296,8 +309,8 @@ class FracSeries:
     def scaled(self, factor: Fraction | int) -> "FracSeries":
         """Multiply every coefficient by an exact scalar."""
         f = _exact(factor)
-        pairs = ((p, c * f) for p, c in self.terms)
-        return FracSeries._from_terms(self.den, self.lowest, self.order, pairs)
+        acc = _exact_values({p: c * f for p, c in self.terms})
+        return FracSeries._from_terms(self.den, self.lowest, self.order, acc.items())
 
     def __mul__(self, other):
         """Product with a scalar, or Cauchy product with a series on the lcm lattice.
@@ -305,7 +318,7 @@ class FracSeries:
         The product is exact below the first exponent that an unknown
         coefficient of either factor can reach.  No term that cannot land
         below that bound is multiplied or packed, and packed slots past it
-        are discarded.  Integer coefficients stay ``int``.
+        are discarded.  An integral coefficient of the product is an ``int``.
         """
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
@@ -332,6 +345,7 @@ class FracSeries:
                 i *= fa
                 for j, cb in islice(tb, bisect_left(pos_b, order - i)):
                     acc[i + j] += ca * cb
+            acc = _exact_values(acc)
         return FracSeries._from_terms(d, lo_a + lo_b, order, acc.items())
 
     __rmul__ = __mul__
@@ -408,7 +422,7 @@ def series_from_terms(
     for e, c in kept:
         acc[e.numerator * (d // e.denominator)] += _exact(c)
     lowest = min(acc, default=order)
-    return FracSeries._from_terms(d, lowest, order, acc.items()).reduced()
+    return FracSeries._from_terms(d, lowest, order, _exact_values(acc).items()).reduced()
 
 
 def monomial(c: Fraction | int, num: int, den: int, order_terms: int) -> FracSeries:

@@ -1,11 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetchar.cli import main
+from cosetchar import cli
+from cosetchar.cli import MAX_LEVEL, MAX_PQ, main
 
 
 def run(capsys, *argv):
@@ -281,6 +287,52 @@ def test_unread_flag_is_refused(argv, flag):
     assert flag in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("flags", [("--order", "7"), ("--max-order", "30"),
+                                   ("--order", "0", "--max-order", "200")])
+def test_singular_direct_evaluation_refuses_order_flags(capsys, flags):
+    code, out, err = run(capsys, "singular", "--alpha", "1", "--beta", "1", "--t", "1/2", *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: direct evaluation does not read {flags[0]}\n"
+    # the ladder form reads them
+    code, out, err = run(capsys, "singular", *flags, "--format", "text")
+    assert code == 0 and out.startswith("PASS singular-ladder") and err == ""
+
+
+# the largest accepted value of each capped quantity, in a cheap input
+@pytest.mark.parametrize("argv", [
+    ("kac-table", MAX_PQ, MAX_PQ - 1),
+    ("kac-table", 3, MAX_PQ),
+    ("char", "vir", "--p", MAX_PQ, "--q", MAX_PQ - 1, "--r", 1, "--s", 1, "--order", 0),
+    ("char", "osp", "--level", MAX_LEVEL, "--r", 1, "--order", 0),
+    ("char", "sl2", "--level", MAX_LEVEL, "--i", 0, "--order", 0),
+    ("fusion", "vir", MAX_PQ, MAX_PQ - 1, "--a", "1,1", "--b", "2,2"),
+    ("weights", "--level", MAX_LEVEL, "--r", 1),
+])
+def test_size_caps_accept_the_cap(capsys, argv):
+    assert MAX_PQ >= 12 and MAX_LEVEL >= 5  # the grammar fuzz draws up to these
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("kac-table", MAX_PQ + 1, 3), "p"),
+    (("kac-table", 3, MAX_PQ + 1), "q"),
+    (("char", "vir", "--p", MAX_PQ + 1, "--q", 3, "--r", 1, "--s", 1, "--order", 0), "p"),
+    (("char", "vir", "--p", 200, "--q", 199, "--r", 1, "--s", 1, "--order", 200), "p"),
+    (("char", "vir", "--p", 3, "--q", MAX_PQ + 1, "--r", 1, "--s", 1), "q"),
+    (("char", "osp", "--level", MAX_LEVEL + 1, "--r", 1, "--order", 0), "level"),
+    (("char", "sl2", "--level", MAX_LEVEL + 1, "--i", 0), "level"),
+    (("fusion", "vir", MAX_PQ + 1, MAX_PQ, "--table"), "p"),
+    (("fusion", "vir", 3, MAX_PQ + 1, "--a", "1,1", "--b", "1,1"), "q"),
+    (("weights", "--level", MAX_LEVEL + 1), "level"),
+    (("weights", "--level", 10 ** 30, "--r", 1), "level"),
+])
+def test_size_caps_refuse_larger_inputs(capsys, argv, name):
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must not exceed {MAX_LEVEL if name == 'level' else MAX_PQ}\n"
+
+
 def test_singular_direct_evaluation_refuses_csv(capsys):
     code, out, err = run(capsys, "singular", "--alpha", "1", "--beta", "1", "--t", "1/2",
                          "--format", "csv")
@@ -441,3 +493,94 @@ def test_cli_grammar_fuzz(tmp_path_factory, command, data):
         assert "--perturb" in given_flags and "first mismatch" in err, argv
     else:
         assert err == "", argv
+
+
+# -- one parser per process ------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# every subcommand and format; usage errors that main refuses; argparse's own
+# exit 2 (unknown flag, bad int, bad choice, missing subcommand) and --help.
+# Neighbours that could see each other's state: the three char kinds, verify
+# with and without --perturb and the order flags, singular ladder and direct.
+_ISOLATION_ARGVS = [
+    *[(*base, "--format", f) for base in _BASE.values() for f in ("json", "csv", "text")],
+    ("verify", "decomposition", "--order", "3", "--perturb", "1:2:1"),
+    ("verify", "decomposition", "--order", "3", "--max-order", "3"),
+    ("verify", "all", "--order", "2", "--format", "text"),
+    ("verify", "central-charge", "--order", "3"),
+    ("singular", "--order", "4", "--format", "text"),
+    ("singular", "--alpha", "1", "--beta", "1", "--t", "1/2", "--order", "7"),
+    ("fusion", "vir", "10", "7", "--a", "2,1", "--b", "6,1", "--format", "text"),
+    ("fusion", "vir", "5", "4", "--table", "--format", "csv"),
+    ("fusion", "vir", "10", "7", "--a", "9,1", "--b", "1,1"),
+    ("fusion", "ext", "4", "6", "--a", "1,1", "--b", "1,2"),
+    ("char", "vir", "--p", "10"),
+    ("char", "osp", "--level", "1", "--r", "1", "--order", "300"),
+    ("kac-table", "10", "5"),
+    ("kac-table", str(MAX_PQ + 1), "3"),
+    ("weights", "--level", "2", "--r", "4"),
+    ("weights", "--level", str(MAX_LEVEL + 1)),
+    ("classify", "--output", "/nonexistent/x.json"),
+    ("classify", "--bogus"),
+    ("kac-table", "x", "7"),
+    ("verify", "everything"),
+    ("verify", "all", "--ord", "3"),
+    (),
+    ("--help",),
+    ("char", "--help"),
+    ("verify", "-h"),
+]
+
+
+def _run_any(argv):
+    """(exit code, stdout, stderr) of main(argv); argparse's SystemExit counts as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(monkeypatch):
+    # the old route built the grammar on every call; it is the reference
+    expected = {}
+    for argv in _ISOLATION_ARGVS:
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_PARSER", cli.build_parser())
+            expected[argv] = _run_any(argv)
+    assert {code for code, _, _ in expected.values()} == {0, 1, 2}
+    shuffled = random.Random(20261018).sample(_ISOLATION_ARGVS, len(_ISOLATION_ARGVS))
+    for argv in _ISOLATION_ARGVS + shuffled:
+        assert _run_any(argv) == expected[argv], argv
+
+
+def test_main_never_builds_the_parser(monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for argv in (("classify",), ("char", "vir", "--p", "10"), ("--help",), ("classify", "--x")):
+        assert _run_any(argv)[0] in (0, 2), argv
+
+
+def test_help_reads_the_width_when_formatted(monkeypatch):
+    # the shared parser was built at import; its help must still follow COLUMNS
+    helps = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosetchar.cli", "--help"],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            timeout=60,
+            check=False,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        helps[columns] = proc.stdout.decode()
+        assert _run_any(["--help"]) == (0, helps[columns], "")
+        assert cli.build_parser().format_help() == helps[columns]
+    assert helps["60"] != helps["120"]

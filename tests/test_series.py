@@ -8,6 +8,7 @@ from math import comb, gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosetchar import series
 from cosetchar.series import (
     FracSeries,
     _euler,
@@ -665,9 +666,44 @@ def test_integer_coefficients_stay_int():
     assert all(type(c) is int for _, c in (euler_product(-1, -3, 20) * s.truncate(1)).terms)
     assert s.coeff(0) == 2 and type(s.coeff(0)) is int
     assert s.coeff(3, 2) == F(1, 3) and type(s.coeff(3, 2)) is F
-    # arithmetic may store an integral Fraction; coeff still returns an int
+    # arithmetic that makes an integral Fraction stores it as an int
     thirds = s.scaled(F(1, 3)).scaled(3)
     assert thirds.coeff(0) == 2 and type(thirds.coeff(0)) is int
+
+
+def _assert_int_terms(s, terms):
+    assert s.terms == terms
+    assert all(type(c) is int for _, c in s.terms), s.terms
+
+
+def test_integral_fraction_results_are_stored_as_int():
+    thirds = FracSeries(1, 0, [F(1, 3), F(2, 3)])
+    _assert_int_terms(thirds.scaled(3), ((0, 1), (1, 2)))
+    _assert_int_terms(thirds.scaled(F(3, 2)).scaled(F(2, 1)), ((0, 1), (1, 2)))
+    _assert_int_terms(thirds + thirds + thirds, ((0, 1), (1, 2)))
+    _assert_int_terms(thirds + FracSeries(1, 0, [F(2, 3), F(1, 3)]), ((0, 1), (1, 1)))
+    _assert_int_terms(thirds * FracSeries(1, 0, [3, 6]), ((0, 1), (1, 4)))
+    _assert_int_terms(thirds * thirds * 9, ((0, 1), (1, 4)))
+    halves = series_from_terms([(0, F(1, 2)), (0, F(1, 2)), (1, 3)], 2)
+    _assert_int_terms(halves, ((0, 1), (1, 3)))
+    # a non-integral result stays a Fraction
+    assert (thirds + thirds).terms == ((0, F(2, 3)), (1, F(4, 3)))
+
+
+def test_normalised_series_takes_the_packed_product(monkeypatch):
+    # once its integral Fractions are ints, a long series multiplies like the
+    # all-int series it equals: packed, to the same terms and bound
+    n = 2 * series._KRONECKER_MIN_TERMS
+    ints = FracSeries(2, -3, [(-1) ** k * (k + 1) for k in range(n)])
+    made = FracSeries(2, -3, [F((-1) ** k * (k + 1), 7) for k in range(n)]).scaled(7)
+    _assert_int_terms(made, ints.terms)
+    packed = []
+    kronecker = series._kronecker
+    monkeypatch.setattr(series, "_kronecker", lambda *a: packed.append(1) or kronecker(*a))
+    square = made * made
+    assert packed == [1]
+    assert square == ints * ints
+    _assert_int_terms(square, (ints * ints).terms)
 
 
 # --- packed (Kronecker) products against the dense reference ----------------
