@@ -11,9 +11,12 @@ Extended fusion is computed by inducing: pick one Virasoro constituent of
 each factor, fuse them in the minimal model, then replace every label in the
 result by its orbit.  An orbit picked up through both of its members counts
 twice; the outcome does not depend on which constituents were chosen.  Each
-label looks its constituent pair up once and keeps it.  The minimal model's
-cached product is already canonical, so ``ext_fuse`` folds it straight onto
-orbit representatives and builds the ``ExtModuleSum`` unchecked.
+label looks its constituent pair up once and keeps it.  ``ext_fuse`` checks
+its arguments and warns about a fixed point on every call, then returns the
+induced product from a cache keyed by the unordered constituent pair, so
+each induced product is folded once.  The minimal model's cached product is
+already canonical, so the fold goes straight onto orbit representatives and
+builds the ``ExtModuleSum`` unchecked.
 ``fusion_entries`` is the one builder of JSON-ready fusion entries, for
 ``fusion_table`` and for both scopes of the ``fusion`` command.
 """
@@ -24,7 +27,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .minimal import KacLabel, MinimalModel, ModuleSum
 
@@ -152,8 +155,15 @@ def ext_fuse(
                 stacklevel=2,
             )
         picked.append(pair[index])
+    t1, t2 = picked
+    return _induced(t1, t2) if t1 <= t2 else _induced(t2, t1)
+
+
+@lru_cache(maxsize=None)
+def _induced(t1: KacLabel, t2: KacLabel) -> ExtModuleSum:
+    """Orbit fold of the minimal-model product of canonical constituents t1 <= t2."""
     out = {}
-    for lab, m in MODEL.fuse(*picked):
+    for lab, m in MODEL.fuse(t1, t2):
         key = ExtLabel(lab.r, min(lab.s, 10 - lab.s))
         out[key] = out.get(key, 0) + m
     return ExtModuleSum._from_mults(out)

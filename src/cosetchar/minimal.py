@@ -6,10 +6,13 @@ with ``1 <= r <= q-1`` and ``1 <= s <= p-1``, identified in pairs under
 ``(r, s) ~ (q-r, p-s)``.  Fusion is the product of the su(2) fusion rules at
 levels q-2 (on r) and p-2 (on s), read through the Kac identification; since
 one of p, q is odd, at most one label of each pair occurs, so multiplicities
-are 0 or 1.  ``fuse`` builds each product once and returns that cached,
-read-only ``ModuleSum`` on every later call.  That product and a sum of two
-multisets hold distinct canonical labels already, so the trusted
-``ModuleSum._from_mults`` builds them with no re-check and no re-fold.  The
+are 0 or 1.  Fusion is commutative, so ``fuse`` puts its two canonical
+labels in order and builds each product once per unordered pair; it returns
+that cached, read-only ``ModuleSum`` for either order on every later call.
+``canon`` returns the label itself when it is already canonical.  A product
+and a sum of two multisets hold distinct canonical labels already, so the
+trusted ``ModuleSum._from_mults`` builds them with no re-check and no
+re-fold; a sum with an empty operand is the other operand.  The
 admissible-triple conditions (triangle inequalities, parity, and the range
 caps 2q-1 / 2p-1 on the label sums) survive as ``MinimalModel.is_admissible``
 and as the test suite's reference for fusion.
@@ -89,8 +92,14 @@ class ModuleSum:
     def __add__(self, other: "ModuleSum") -> "ModuleSum":
         if type(other) is not type(self):
             return NotImplemented
-        a, b = self.mults, other.mults
-        return self._from_mults({lab: a.get(lab, 0) + b.get(lab, 0) for lab in a | b})
+        if not other.mults:
+            return self
+        if not self.mults:
+            return other
+        acc = dict(self.mults)
+        for lab, m in other.mults.items():
+            acc[lab] = acc.get(lab, 0) + m
+        return self._from_mults(acc)
 
     def to_json(self) -> list[dict]:
         return [{"r": lab.r, "s": lab.s, "mult": m} for lab, m in self]
@@ -149,10 +158,13 @@ class MinimalModel:
         return KacLabel(self.q - label.r, self.p - label.s)
 
     def canon(self, label: KacLabel) -> KacLabel:
-        """Smaller of (r,s) and (q-r,p-s) by (r, then s)."""
-        if not (1 <= label.r < self.q and 1 <= label.s < self.p):
+        """Smaller of (r,s) and (q-r,p-s) by (r, then s); the label itself when it is that one."""
+        r, s, q, p = label.r, label.s, self.q, self.p
+        if not (1 <= r < q and 1 <= s < p):
             self._check(label)  # raises
-        return min(label, KacLabel(self.q - label.r, self.p - label.s))
+        if r < q - r or (r == q - r and s < p - s):  # a tie would need p, q both even
+            return label
+        return KacLabel(q - r, p - s)
 
     def canonical_labels(self) -> list[KacLabel]:
         return sorted({self.canon(KacLabel(r, s))
@@ -173,8 +185,11 @@ class MinimalModel:
         return self.fuse(t1, t2)[self.canon(t3)]
 
     def fuse(self, t1: KacLabel, t2: KacLabel) -> ModuleSum:
-        """Fusion product as a sum of canonical labels (0/1); one shared object per pair."""
-        return _fuse(self.p, self.q, self.canon(t1), self.canon(t2))
+        """Fusion product on canonical labels (0/1); one shared object per unordered pair."""
+        t1, t2 = self.canon(t1), self.canon(t2)
+        if t2 < t1:
+            t1, t2 = t2, t1
+        return _fuse(self.p, self.q, t1, t2)
 
     # -- characters ------------------------------------------------------------
 
@@ -206,7 +221,7 @@ def _triple_ok(xs: tuple[int, int, int], cap: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _fuse(p, q, t1, t2) -> ModuleSum:
-    """The su(2)_{q-2} x su(2)_{p-2} product of two canonical labels, on canonical labels."""
+    """The su(2)_{q-2} x su(2)_{p-2} product of canonical labels t1 <= t2, on canonical labels."""
     (r1, s1), (r2, s2) = t1, t2
     return ModuleSum._from_mults(
         {

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosetchar import extension
 from cosetchar.coset import COSET_DECOMPOSITION
 from cosetchar.extension import (
     MODEL,
@@ -171,6 +172,26 @@ def test_fixed_point_inputs_warn():
         ext_fuse(ext_label(1, 4), ext_label(1, 6))  # no warning off fixed points
 
 
+def test_cached_products_still_warn_on_every_fixed_point_call():
+    # the induced product is cached, the warning is not: it fires once per
+    # fixed-point argument on every call, cold or warm, in either order and
+    # for every constituent choice
+    extension._induced.cache_clear()
+    labels = ext_irreducibles()
+    for state in ("cold", "warm"):
+        for a, b in itertools.product(labels, repeat=2):
+            for i, j in itertools.product((0, 1), repeat=2):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    out = ext_fuse(a, b, i, j)
+                    assert ext_fuse(b, a, j, i) is out, (state, a, b, i, j)
+                want = [f"{lab} is a fixed point; fusion is formal bookkeeping"
+                        for lab in (a, b, b, a) if lab.fixed_point]
+                assert [str(w.message) for w in caught] == want, (state, a, b, i, j)
+                assert all(w.category is FixedPointFusionWarning for w in caught)
+    assert extension._induced.cache_info().misses == 378
+
+
 def test_integer_weight_gap_scan():
     # constituent weights differ by an integer exactly on the odd-s orbits;
     # the three s=1 orbits among them are the ones paired in the vacuum
@@ -331,11 +352,27 @@ def test_multiset_rejects_keys_of_another_kind(cls, key):
 
 
 def test_module_sums_of_different_classes_do_not_add():
-    vir, ext = ModuleSum({L(1, 1): 1}), ExtModuleSum({ExtLabel(1, 1): 1})
-    with pytest.raises(TypeError):
-        vir + ext
-    with pytest.raises(TypeError):
-        ext + vir
+    for vir, ext in itertools.product(
+        (ModuleSum({L(1, 1): 1}), ModuleSum({})),
+        (ExtModuleSum({ExtLabel(1, 1): 1}), ExtModuleSum({})),
+    ):
+        with pytest.raises(TypeError):
+            vir + ext
+        with pytest.raises(TypeError):
+            ext + vir
+
+
+@pytest.mark.parametrize("cls, keys, twins", MULTISETS)
+def test_adding_an_empty_multiset_gives_the_other_operand(cls, keys, twins):
+    a, b, _ = keys
+    full, empty = cls({a: 1, b: 2}), cls({})
+    for total in (full + empty, empty + full, empty + empty):
+        assert type(total) is cls
+        with pytest.raises(TypeError):
+            total.mults[a] = 5
+    assert full + empty == empty + full == full == {a: 1, b: 2}
+    assert list(full + empty) == list(empty + full) == [(a, 1), (b, 2)]
+    assert empty + empty == {} and len(empty + empty) == 0
 
 
 def test_ext_fuse_equals_validating_constructor():

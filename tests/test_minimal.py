@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+from cosetchar import extension, minimal
+from cosetchar.cli import MAX_PQ
 from cosetchar.minimal import KacLabel, MinimalModel, ModuleSum, _triple_ok, kac_table_csv
 from cosetchar.series import equal_through
 
@@ -63,7 +65,12 @@ def test_out_of_range_label_raises():
         M107.conformal_weight(L(1, 0))
 
 
-@pytest.mark.parametrize("p, q", [(4, 3), (5, 3), (10, 7), (11, 8)])
+# every model the CLI accepts: coprime 3 <= p, q <= MAX_PQ
+CLI_MODELS = [(p, q) for p in range(3, MAX_PQ + 1) for q in range(3, MAX_PQ + 1)
+              if p != q and gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("p, q", CLI_MODELS)
 def test_canon_range_error_text(p, q):
     model = MinimalModel(p, q)
     for label in (L(0, 1), L(q, 1), L(1, 0), L(1, p)):
@@ -72,7 +79,14 @@ def test_canon_range_error_text(p, q):
         assert str(canon_err.value) == f"label {label} outside 1..{q - 1} x 1..{p - 1}"
     for r, s in itertools.product(range(1, q), range(1, p)):
         label = L(r, s)
-        assert model.canon(label) == min(label, model.kac_partner(label))
+        want = min(label, model.kac_partner(label))
+        got = model.canon(label)
+        assert got == want and type(got) is KacLabel, (label, got)
+        if want == label:
+            assert got is label, label  # a canonical label comes back as itself
+    # the label is read by field, so a bare tuple fails as it always has
+    with pytest.raises(AttributeError):
+        model.canon((1, 1))
 
 
 def test_kac_symmetry_many_models():
@@ -323,6 +337,27 @@ def test_fuse_returns_one_shared_read_only_result():
     with pytest.raises(TypeError):
         out.mults[L(1, 1)] = 1
     assert out == M107.fuse(b, a) and L(1, 1) not in out.mults
+
+
+@pytest.mark.parametrize("p, q", [(10, 7), (5, 4), (11, 8)])
+def test_products_are_shared_per_unordered_pair(p, q):
+    model = MinimalModel(p, q)
+    for a, b in itertools.product(model.canonical_labels(), repeat=2):
+        out = model.fuse(a, b)
+        assert model.fuse(b, a) is out, (a, b)
+        pa, pb = model.kac_partner(a), model.kac_partner(b)
+        for x, y in ((pa, b), (b, pa), (a, pb), (pb, a), (pa, pb), (pb, pa)):
+            assert model.fuse(x, y) is out, (a, b, x, y)
+
+
+def test_cold_extension_table_builds_each_product_once():
+    # 27 canonical constituents, so 27 * 28 / 2 unordered pairs out of 729 entries
+    minimal._fuse.cache_clear()
+    extension._induced.cache_clear()
+    extension.fusion_table()
+    assert minimal._fuse.cache_info().misses == 378
+    assert extension._induced.cache_info().misses == 378
+    assert extension._induced.cache_info().hits == 729 - 378
 
 
 def test_module_sum_addition_and_json():
