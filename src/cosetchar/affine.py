@@ -11,8 +11,10 @@ All characters here are single-variable graded dimensions Tr q^(L0 - c/24).
 The osp(1|2) character is a weighted theta sum times prod(1+q^n)^2 over
 q^(1/24) prod(1-q^n)^3; the specialized affine sl2 character is the
 Weyl-Kac numerator sum_m (2(l+2)m + i+1) q^((l+2)(m + (i+1)/(2(l+2)))^2)
-over q^(1/8) prod(1-q^n)^3.  The two routes are tied together by the
-branching identity, which the test suite checks coefficientwise.
+over q^(1/8) prod(1-q^n)^3.  Both are assembled by the cached
+``series._character``, so each distinct character is built once and shared.
+The two routes are tied together by the branching identity, which the test
+suite checks coefficientwise.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def osp_character(lab: OspLabel, order: int = 20) -> FracSeries:
     """
     a = 2 * lab.l + 3
     return _character(
-        lambda bound: weighted_theta(2 * a, lab.r, Fraction(a, 2), bound),
+        ((1, weighted_theta, (2 * a, lab.r, Fraction(a, 2))),),
         euler_parts=((1, 2), (-1, -3)),
         eta_den=24,
         target=osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24 + order,
@@ -149,7 +151,7 @@ def sl2_character(lab: Sl2Label, order: int = 20) -> FracSeries:
     """Specialized character of L(l, i); leading term (i+1) q^(h_i - c/24)."""
     k = lab.l + 2
     return _character(
-        lambda bound: weighted_theta(2 * k, lab.i + 1, Fraction(k), bound),
+        ((1, weighted_theta, (2 * k, lab.i + 1, Fraction(k))),),
         euler_parts=((-1, -3),),
         eta_den=8,
         target=sl2_weight(lab) - sl2_central_charge(lab.l) / 24 + order,

@@ -196,14 +196,14 @@ class MinimalModel:
     def character(self, label: KacLabel, order: int = 20) -> FracSeries:
         """Graded dimension series ``Tr q^(L0 - c/24)`` of the irreducible module.
 
-        Theta-difference over eta: exact at least through the exponent
-        ``h - c/24 + order``.
+        Theta-difference over eta (Rocha-Caridi): exact at least through the
+        exponent ``h - c/24 + order``.  Built once per distinct (model, label,
+        order) by the cached ``series._character`` and shared by every caller.
         """
         r, s = self._check(label)
         p, q = self.p, self.q
         return _character(
-            lambda bound: theta_null(p * q, p * r - q * s, bound)
-            - theta_null(p * q, p * r + q * s, bound),
+            ((1, theta_null, (p * q, p * r - q * s)), (-1, theta_null, (p * q, p * r + q * s))),
             euler_parts=((-1, -1),),
             eta_den=24,
             target=self.conformal_weight(label) - self.central_charge() / 24 + order,

@@ -17,11 +17,13 @@ factor into one big ``int`` and let a single multiply do the convolution
 The module also provides the handful of special series every character in
 this package is assembled from: plain monomial prefactors, Euler products
 ``prod (1 +- q^n)^e``, theta null sums ``sum_m q^(a(m+b/2a)^2)`` and their
-linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)``, and the private
-assembly ``_character`` that the minimal and affine characters share: theta
-numerator times one combined Euler factor (one cached ``_euler``
-recurrence), shifted by ``q^(-1/24)`` or ``q^(-1/8)``, exact through the
-requested order.  ``==`` is strict: two series are equal only with the same
+linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)`` (built on integer
+positions), and the private assembly ``_character`` that the minimal and
+affine characters share: theta numerator times one combined Euler factor (one
+cached ``_euler`` recurrence), shifted by ``q^(-1/24)`` or ``q^(-1/8)``, exact
+through the requested order.  It runs in one integer pass, each theta term
+shifting and adding the dense Euler row, and is cached per argument set, so
+a command builds each character once.  ``==`` is strict: two series are equal only with the same
 exactness bound and the same nonzero terms.  :func:`equal_through` compares
 two series of any bounds through a given exponent, which both must know.
 """
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -375,7 +377,9 @@ class FracSeries:
 
     def to_json_dict(self) -> dict:
         # every zero slot shares one string: a fine lattice is mostly zeros
-        coeffs = [f"{c.numerator}/{c.denominator}" if c else "0/1" for c in self.coeffs]
+        coeffs = ["0/1"] * (self.order - self.lowest)
+        for p, c in self.terms:
+            coeffs[p - self.lowest] = f"{c.numerator}/{c.denominator}"
         return {"denominator": self.den, "lowest": self.lowest, "coeffs": coeffs,
                 "order": self.order}
 
@@ -476,16 +480,30 @@ def _euler(parts: tuple[tuple[int, int], ...], n: int) -> FracSeries:
     return FracSeries._from_terms(1, 0, n + 1, enumerate(a))
 
 
-def _theta(modulus: int, residue: int, scale: Fraction, order: int, weight) -> FracSeries:
-    """``sum_{n = residue mod modulus} weight(n) * q**(scale*n**2)`` exact below order."""
+def _theta(
+    modulus: int, residue: int, scale: Fraction, order: Fraction | int, weight
+) -> FracSeries:
+    """``sum_{n = residue mod modulus} weight(n) * q**(scale*n**2)`` exact below order.
+
+    Each term sits at the integer position ``u*n**2`` on the lattice ``lcm`` of
+    the scale's and the bound's denominators; duplicate positions are summed,
+    and one division by the gcd of den, bound and the nonzero positions gives
+    the coarsest lattice.  ``lowest`` is the first term's slot even when its
+    coefficient cancels (weights n and -n), as in ``series_from_terms``.
+    """
+    order = Fraction(order)
+    den = lcm(scale.denominator, order.denominator)
+    u = scale.numerator * (den // scale.denominator)
+    stop = order.numerator * (den // order.denominator)
     top = isqrt(_ceil(order / scale))
-    start = -top + (residue + top) % modulus
-    terms = [
-        (e, weight(n))
-        for n in range(start, top + 1, modulus)
-        if (e := scale * (n * n)) < order
-    ]
-    return series_from_terms(terms, order)
+    acc = defaultdict(int)
+    for n in range(-top + (residue + top) % modulus, top + 1, modulus):
+        if (p := u * n * n) < stop:
+            acc[p] += weight(n)
+    g = gcd(den, stop, *(p for p, c in acc.items() if c))
+    lowest = min(acc, default=stop)
+    pairs = [(p // g, c) for p, c in acc.items()]
+    return FracSeries._from_terms(den // g, -(-lowest // g), stop // g, pairs)
 
 
 def theta_null(a: int, b: int, order: int) -> FracSeries:
@@ -536,32 +554,61 @@ def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
     return _terms_equal_through(a, b, bound)
 
 
-def _character(theta_at, euler_parts, eta_den: int, target: Fraction, order: int) -> FracSeries:
+@lru_cache(maxsize=128)
+def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: int) -> FracSeries:
     """Graded dimension ``theta * prod (1 +- q^n)^e / q^(1/eta_den)``, exact past target.
 
-    ``theta_at(bound)`` builds the theta numerator exact below exponent bound.
-    ``euler_parts`` lists the ``(sign, e)`` of every Euler factor; all of them
-    come as one series from one ``_euler`` recurrence, kept through
-    q^(order+2) and shared by every character with the same parts and order.
-    ``target`` is the inclusive exponent the caller needs exact; falling
-    short of it is a bookkeeping error.  The theta bound is the shifted
+    ``numerator`` is a tuple of ``(sign, theta, args)``: the theta numerator is
+    the sum of ``sign * theta(*args, bound)``, each built by ``theta_null`` or
+    ``weighted_theta``.  ``euler_parts`` lists the ``(sign, e)`` of every Euler
+    factor; all of them come as one dense row from one ``_euler`` recurrence,
+    kept through q^(order+2) and shared by every character with the same parts
+    and order.  ``target`` is the inclusive exponent the caller needs exact;
+    falling short of it is a bookkeeping error.  The theta bound is the shifted
     target rounded up, plus a margin of 2: when ``target + 1/eta_den`` is an
     integer (sl2 L(7,5), for one) a margin of 0 would leave the character
     exact only below target.  The margin stays at 2 because it sets every
     character's ``order``, which the Python API exposes.
 
-    ``q^(-1/eta_den)`` is an exact relabel on the lattice ``d = lcm(den,
-    eta_den)``: every term, the first one (the new ``lowest``) and ``order``
-    move from p to ``p*d/den - d/eta_den``.  It equals the product with a
-    monomial, whose own bound lies at least d slots further and never binds.
+    Everything happens on the lattice ``d = lcm`` of eta_den and the theta
+    denominators, in integers.  The Euler row has integer exponents, so the
+    product keeps each residue class of positions mod d: per class, every
+    theta term adds its multiple of the Euler row into one dense row (shift
+    and add).  ``q^(-1/eta_den)`` moves every position, ``lowest`` and
+    ``order`` down by ``d/eta_den`` in the same pass.  The result has the same
+    den, lowest, order and terms as the product of the theta numerator, the
+    Euler series and a monomial q^(-1/eta_den): exact below the first
+    exponent an unknown coefficient of either factor reaches.
+
+    Cached per argument set (a module-level ``lru_cache``), so a command that
+    asks for the same character twice builds it once; the series is
+    immutable, so every caller may share it.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = theta_at(_ceil(target + Fraction(1, eta_den)) + 2) * _euler(euler_parts, order + 2)
-    d = lcm(out.den, eta_den)
-    f, shift = d // out.den, d // eta_den
-    pairs = [(p * f - shift, c) for p, c in out.terms]
-    out = FracSeries._from_terms(d, pairs[0][0], out.order * f - shift, pairs)
+    bound = _ceil(target + Fraction(1, eta_den)) + 2
+    thetas = [(sign, theta(*args, bound)) for sign, theta, args in numerator]
+    d = lcm(eta_den, *(s.den for _, s in thetas))
+    acc = defaultdict(int)
+    for sign, s in thetas:
+        f = d // s.den
+        for p, c in s.terms:
+            acc[p * f] += sign * c
+    terms = sorted((p, c) for p, c in acc.items() if c)
+    lo = terms[0][0]
+    # the Euler series is exact below q^(order+3)
+    stop = min(bound * d, (order + 3) * d + lo)
+    euler = _euler(euler_parts, order + 2).coeffs
+    shift = d // eta_den
+    pairs = []
+    for r, row_terms in _classes(terms, 1, d):
+        k0 = row_terms[0][0]
+        row = [0] * ((stop - 1 - r) // d - k0 + 1)
+        for k, c in row_terms:
+            row[k - k0 :] = map(add, row[k - k0 :], map(c.__mul__, euler))
+        base = r + d * k0 - shift
+        pairs += [(base + d * i, c) for i, c in enumerate(row)]
+    out = FracSeries._from_terms(d, lo - shift, stop - shift, pairs)
     if out.order_exponent <= target:
         raise RuntimeError("internal truncation bookkeeping error")
     return out

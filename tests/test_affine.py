@@ -24,6 +24,7 @@ from cosetchar.affine import (
     sl2_character,
     sl2_weight,
 )
+from cosetchar.cli import MAX_PQ
 from cosetchar.minimal import KacLabel, MinimalModel
 from cosetchar.series import _ceil, _euler, equal_through, monomial
 
@@ -244,24 +245,36 @@ def test_singular_weight_ladder():
         assert singular_weights(m, L(r, s)) == pair
 
 
-def _monomial_route(theta_at, euler_parts, eta_den, target, order):
-    """``series._character`` with q^(-1/eta_den) applied as a product with a monomial."""
-    out = theta_at(_ceil(target + F(1, eta_den)) + 2) * _euler(euler_parts, order + 2)
+def _monomial_route(numerator, euler_parts, eta_den, target, order):
+    """``series._character`` as products of series, the route it replaced.
+
+    The theta numerator is a series summed from the public theta functions; it
+    is multiplied by the ``_euler`` series and then by the monomial
+    q^(-1/eta_den), each through ``FracSeries.__mul__``.
+    """
+    bound = _ceil(target + F(1, eta_den)) + 2
+    num = None
+    for sign, theta, args in numerator:
+        term = theta(*args, bound) * sign
+        num = term if num is None else num + term
+    out = num * _euler(euler_parts, order + 2)
     span = out.order - out.lowest
     return out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
 
 
 def _characters():
     """(name, series) for every canonical label of every coprime 3 <= p, q <= 11
-    model at orders 0, 1, 5, 17, and every osp and sl2 module of levels 1-5 at
+    model at orders 0, 1, 5, 17, of every other coprime model up to
+    ``cli.MAX_PQ`` at order 5, and every osp and sl2 module of levels 1-5 at
     orders 0, 3, 20, 60."""
-    for p in range(3, 12):
-        for q in range(3, 12):
+    for p in range(3, MAX_PQ + 1):
+        for q in range(3, MAX_PQ + 1):
             if p == q or gcd(p, q) != 1:
                 continue
             model = MinimalModel(p, q)
+            orders = (0, 1, 5, 17) if max(p, q) <= 11 else (5,)
             for lab in model.canonical_labels():
-                for order in (0, 1, 5, 17):
+                for order in orders:
                     yield f"vir {p} {q} {lab} {order}", model.character(lab, order)
     for level in range(1, 6):
         for order in (0, 3, 20, 60):
@@ -272,15 +285,16 @@ def _characters():
 
 
 def test_character_shift_equals_monomial_route(monkeypatch):
-    # the exact relabel of q^(-1/eta_den) gives the same den, lowest, order
-    # and terms as multiplying by the monomial
+    # one integer shift-and-add pass gives the same den, lowest, order, terms
+    # and coefficient types as the products of the theta numerator, the Euler
+    # series and the monomial
     def key(s):
-        return s.den, s.lowest, s.order, s.terms
+        return s.den, s.lowest, s.order, s.terms, [type(c) for _, c in s.terms]
 
     shifted = [(name, key(s)) for name, s in _characters()]
     monkeypatch.setattr(minimal, "_character", _monomial_route)
     monkeypatch.setattr(affine, "_character", _monomial_route)
     multiplied = [(name, key(s)) for name, s in _characters()]
-    assert len(shifted) == len(multiplied) == 3992
+    assert len(shifted) == len(multiplied) == 3992 + 3022
     for (name, got), (_, want) in zip(shifted, multiplied):
         assert got == want, name

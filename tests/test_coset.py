@@ -28,6 +28,7 @@ from cosetchar.affine import (
     osp_character,
     osp_weight,
 )
+from cosetchar import affine, minimal, series
 from cosetchar.cli import DEFAULT_MAX_ORDER, main
 from cosetchar.minimal import MinimalModel
 from cosetchar.series import _ceil, euler_product, monomial, theta_null, weighted_theta
@@ -276,6 +277,40 @@ def test_run_all_passes():
         "central-charge", "decomposition", "even-refinement", "singular-ladder",
     ]
     assert all(r.passed for r in reports)
+
+
+def test_each_character_is_built_once_per_command(monkeypatch):
+    # every character run_all asks for is built once; the plain table, each
+    # parity and the ladder share the builds
+    cache = series._character
+    assert isinstance(cache.cache_info().maxsize, int)
+    keys = []
+
+    def recording(*args, **kwargs):
+        keys.append((args, tuple(sorted(kwargs.items()))))
+        return cache(*args, **kwargs)
+
+    monkeypatch.setattr(minimal, "_character", recording)
+    monkeypatch.setattr(affine, "_character", recording)
+    cache.cache_clear()
+    _summand_series.cache_clear()
+    assert all(r.passed for r in run_all(30))
+    info = cache.cache_info()
+    assert info.misses == len(set(keys)) <= info.maxsize
+    assert info.hits == len(keys) - len(set(keys)) >= 1
+
+
+def test_char_command_leaves_the_cached_character_unchanged():
+    # char truncates to the window asked for; the shared series keeps its bound
+    model, label = MinimalModel(10, 7), minimal.KacLabel(6, 1)
+    cached = model.character(label, 12)
+    before = (cached.den, cached.lowest, cached.order, cached.terms)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["char", "vir", "--p", "10", "--q", "7", "--r", "6", "--s", "1",
+                     "--order", "12"]) == 0
+    assert json.loads(out.getvalue())["order"] < cached.order
+    assert model.character(label, 12) is cached
+    assert (cached.den, cached.lowest, cached.order, cached.terms) == before
 
 
 def test_report_json_schema():

@@ -252,6 +252,34 @@ def test_weighted_theta_zero_offset_cancels():
     assert s.is_zero()
 
 
+def _theta_reference(a, b, c, bound):
+    """theta_null (c None) or weighted_theta as series_from_terms over Fraction exponents."""
+    if c is None:
+        terms = [(F((2 * a * m + b) ** 2, 4 * a), 1) for m in range(-30, 31)]
+    else:
+        terms = [(F(c) * (a * m + b) ** 2 / a**2, a * m + b) for m in range(-30, 31)]
+    return series_from_terms([(e, w) for e, w in terms if e < bound], bound)
+
+
+def test_theta_integer_positions_match_fraction_route():
+    # the integer lattice build gives the same den, lowest, order, terms and
+    # coefficient types as series_from_terms, also with Fraction bounds and
+    # with a lowest slot whose weights n and -n cancel
+    def key(s):
+        return s.den, s.lowest, s.order, s.terms, [type(v) for _, v in s.terms]
+
+    cancelled = 0
+    for a in range(1, 7):
+        for b in range(-2 * a, 2 * a + 1):
+            for bound in (1, F(7, 3), F(5, 2), F(41, 6), 9):
+                assert key(theta_null(a, b, bound)) == key(_theta_reference(a, b, None, bound))
+                for c in (1, F(1, 2), F(5, 3)):
+                    got = weighted_theta(a, b, c, bound)
+                    assert key(got) == key(_theta_reference(a, b, c, bound)), (a, b, c, bound)
+                    cancelled += got.lowest < (got.terms[0][0] if got.terms else got.order)
+    assert cancelled
+
+
 # --- coefficient extraction -------------------------------------------------
 
 def test_coeff_out_of_range_raises():
@@ -429,6 +457,22 @@ def frac_series(draw):
     lowest = draw(st.integers(-10, 10))
     coeffs = draw(st.lists(small_fracs, min_size=0, max_size=10))
     return FracSeries(den, lowest, coeffs)
+
+
+@given(
+    den=st.sampled_from([1, 2, 6, 840]),
+    lowest=st.integers(-20, 20),
+    coeffs=st.lists(st.one_of(st.just(0), st.integers(-10**30, 10**30), small_fracs),
+                    max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_json_writes_only_nonzero_slots(den, lowest, coeffs):
+    # byte-identical to one string per dense slot, zeros and padding included
+    s = FracSeries(den, lowest, coeffs)
+    per_slot = {"denominator": s.den, "lowest": s.lowest,
+                "coeffs": [f"{c.numerator}/{c.denominator}" if c else "0/1" for c in s.coeffs],
+                "order": s.order}
+    assert s.dumps() == json.dumps(per_slot)
 
 
 @given(a=frac_series(), b=frac_series())
