@@ -5,13 +5,13 @@ from exact rationals; no floats anywhere.  Exit codes: 0 on success or a
 passing verification, 1 when a verification fails, 2 on usage errors.
 
 Each subcommand declares only the flags it reads: ``--format`` and
-``--output`` on all of them, ``--order`` and ``--max-order`` on ``char``,
-``verify`` and ``singular`` (``verify central-charge`` and ``singular``
-direct evaluation refuse them).  ``char`` has one parser for its three
-kinds; ``CHAR_FLAGS`` says which label flags each kind needs, and a label
-flag of another kind is refused.  An undeclared or abbreviated flag is a
-usage error too, and so is a p or q above ``MAX_PQ`` or a level above
-``MAX_LEVEL``.
+``--output`` on all of them, ``--order`` on ``char``, ``verify`` and
+``singular`` (``verify central-charge`` and ``singular`` direct evaluation
+refuse it).  ``char`` has one parser for its three kinds; ``CHAR_FLAGS``
+says which label flags each kind needs, and a label flag of another kind is
+refused.  An undeclared or abbreviated flag is a usage error too, and so is
+an order outside ``0..MAX_ORDER``, a p or q above ``MAX_PQ`` or a level
+above ``MAX_LEVEL``.
 
 The grammar is built once per process, when this module is imported, and
 never changes; each ``main`` call parses into a fresh namespace.  The
@@ -32,10 +32,11 @@ from . import affine, coset, extension
 from .minimal import KacLabel, MinimalModel, kac_table_csv
 
 DEFAULT_ORDER = 20
-DEFAULT_MAX_ORDER = 200
-# size caps, one for p and q (the model is symmetric in them) and one for the
-# level; the slowest inputs they accept, fusion vir 16 15 --table and
-# weights --level 150, run in about a second (README, "Command line")
+# size caps: one for the order, one for p and q (the model is symmetric in
+# them) and one for the level; the slowest inputs they accept, fusion vir
+# 16 15 --table and weights --level 150, run in about a second (README,
+# "Command line")
+MAX_ORDER = 200
 MAX_PQ = 16
 MAX_LEVEL = 150
 
@@ -60,29 +61,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, orders=False):
+    def command(name, help, order=False):
         # no abbreviations: a prefix such as --t would otherwise be read as
         # another command's flag (--table of fusion)
         p = subs.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
-        if orders:
+        if order:
             p.add_argument("--order", type=int, default=argparse.SUPPRESS,
                            help="number of coefficient levels beyond the leading term")
-            p.add_argument("--max-order", type=int, default=argparse.SUPPRESS,
-                           help="refuse orders above this cap")
         return p
 
     p = command("kac-table", "conformal weight grid of a minimal model")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
 
-    p = command("char", "q-expansion of an irreducible character", orders=True)
+    p = command("char", "q-expansion of an irreducible character", order=True)
     p.add_argument("kind", choices=CHAR_FLAGS)
     for flag in dict.fromkeys(f for flags in CHAR_FLAGS.values() for f in flags):
         p.add_argument(f"--{flag}", type=int)
 
-    p = command("verify", "run a coefficientwise verification", orders=True)
+    p = command("verify", "run a coefficientwise verification", order=True)
     p.add_argument(
         "which",
         choices=("central-charge", "decomposition", "even-refinement",
@@ -105,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--r", type=int, help="restrict to one module")
 
-    p = command("singular", "singular-vector weight ladder", orders=True)
+    p = command("singular", "singular-vector weight ladder", order=True)
     p.add_argument("--alpha", type=int)
     p.add_argument("--beta", type=int)
     p.add_argument("--t", metavar="NUM/DEN", help="evaluate one weight at this t")
@@ -196,8 +195,8 @@ def cmd_verify(args) -> tuple[str, int]:
     if perturb and args.which not in ("decomposition", "all"):
         raise UsageError("--perturb only applies to the decomposition check")
     if args.which == "central-charge":
-        if args.order_flags:
-            raise UsageError(f"verify central-charge does not read {args.order_flags[0]}")
+        if args.order_given:
+            raise UsageError("verify central-charge does not read --order")
         reports = [coset.verify_central_charge()]
     elif args.which == "decomposition":
         reports = [coset.verify_decomposition(args.order, perturb)]
@@ -359,8 +358,8 @@ def cmd_singular(args) -> tuple[str, int]:
     if args.t is not None or args.alpha is not None or args.beta is not None:
         if None in (args.alpha, args.beta, args.t):
             raise UsageError("direct evaluation needs --alpha, --beta and --t")
-        if args.order_flags:
-            raise UsageError(f"direct evaluation does not read {args.order_flags[0]}")
+        if args.order_given:
+            raise UsageError("direct evaluation does not read --order")
         try:
             t = Fraction(args.t)
         except (ValueError, ZeroDivisionError):
@@ -377,12 +376,11 @@ def cmd_singular(args) -> tuple[str, int]:
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    ns = vars(args)  # the order flags are absent unless given; note which, then default
-    args.order_flags = [f"--{f.replace('_', '-')}" for f in ("order", "max_order") if f in ns]
+    ns = vars(args)  # --order is absent unless given; note whether, then default
+    args.order_given = "order" in ns
     order = ns.setdefault("order", DEFAULT_ORDER)
-    cap = ns.setdefault("max_order", DEFAULT_MAX_ORDER)
-    if order < 0 or order > cap:
-        print(f"error: order must lie in 0..{cap}", file=sys.stderr)
+    if order < 0 or order > MAX_ORDER:
+        print(f"error: order must lie in 0..{MAX_ORDER}", file=sys.stderr)
         return 2
     for name, top in (("p", MAX_PQ), ("q", MAX_PQ), ("level", MAX_LEVEL)):
         if (ns.get(name) or 0) > top:

@@ -14,13 +14,12 @@ and a sum of two multisets hold distinct canonical labels already, so the
 trusted ``ModuleSum._from_mults`` builds them with no re-check and no
 re-fold; a sum with an empty operand is the other operand.  The
 admissible-triple conditions (triangle inequalities, parity, and the range
-caps 2q-1 / 2p-1 on the label sums) survive as ``MinimalModel.is_admissible``
-and as the test suite's reference for fusion.
+caps 2q-1 / 2p-1 on the label sums) live on in the test suite, as its
+independent reference for fusion.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,9 +103,6 @@ class ModuleSum:
     def to_json(self) -> list[dict]:
         return [{"r": lab.r, "s": lab.s, "mult": m} for lab, m in self]
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
     def __repr__(self):
         inner = " + ".join(
             (f"{m}*" if m != 1 else "") + str(lab) for lab, m in self
@@ -153,10 +149,6 @@ class MinimalModel:
 
     # -- label identification ----------------------------------------------
 
-    def kac_partner(self, label: KacLabel) -> KacLabel:
-        self._check(label)
-        return KacLabel(self.q - label.r, self.p - label.s)
-
     def canon(self, label: KacLabel) -> KacLabel:
         """Smaller of (r,s) and (q-r,p-s) by (r, then s); the label itself when it is that one."""
         r, s, q, p = label.r, label.s, self.q, self.p
@@ -171,18 +163,6 @@ class MinimalModel:
                        for r in range(1, self.q) for s in range(1, self.p)})
 
     # -- fusion -------------------------------------------------------------
-
-    def is_admissible(self, t1: KacLabel, t2: KacLabel, t3: KacLabel) -> bool:
-        """Admissibility of the raw triple; representatives are not swapped."""
-        for t in (t1, t2, t3):
-            self._check(t)
-        rs = (t1.r, t2.r, t3.r)
-        ss = (t1.s, t2.s, t3.s)
-        return _triple_ok(rs, 2 * self.q - 1) and _triple_ok(ss, 2 * self.p - 1)
-
-    def fusion_dim(self, t1: KacLabel, t2: KacLabel, t3: KacLabel) -> int:
-        """1 iff the class of t3 occurs in the fusion product of t1 and t2."""
-        return self.fuse(t1, t2)[self.canon(t3)]
 
     def fuse(self, t1: KacLabel, t2: KacLabel) -> ModuleSum:
         """Fusion product on canonical labels (0/1); one shared object per unordered pair."""
@@ -209,14 +189,6 @@ class MinimalModel:
             target=self.conformal_weight(label) - self.central_charge() / 24 + order,
             order=order,
         )
-
-
-def _triple_ok(xs: tuple[int, int, int], cap: int) -> bool:
-    a, b, c = xs
-    total = a + b + c
-    if total > cap or total % 2 == 0:
-        return False
-    return a < b + c and b < a + c and c < a + b
 
 
 @lru_cache(maxsize=None)

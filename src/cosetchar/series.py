@@ -20,12 +20,13 @@ this package is assembled from: plain monomial prefactors, Euler products
 linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)`` (built on integer
 positions), and the private assembly ``_character`` that the minimal and
 affine characters share: theta numerator times one combined Euler factor (one
-cached ``_euler`` recurrence), shifted by ``q^(-1/24)`` or ``q^(-1/8)``, exact
-through the requested order.  It runs in one integer pass, each theta term
-shifting and adding the dense Euler row, and is cached per argument set, so
-a command builds each character once.  ``==`` is strict: two series are equal only with the same
-exactness bound and the same nonzero terms.  :func:`equal_through` compares
-two series of any bounds through a given exponent, which both must know.
+cached ``_euler`` recurrence, which returns a dense row of ints), shifted by
+``q^(-1/24)`` or ``q^(-1/8)``, exact through the requested order.  It runs in
+one integer pass, each theta term shifting and adding the Euler row, and is
+cached per argument set, so a command builds each character once.  ``==`` is strict: two series are equal only
+with the same exactness bound and the same nonzero terms.
+:func:`equal_through` compares two series of any bounds through a given
+exponent, which both must know.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ def _exact(c) -> int | Fraction:
 # A product runs the pair loop while its smaller factor has fewer nonzero
 # terms than this.  That count bounds the pairs summed into one product
 # coefficient, while packing costs about the same per slot whatever the
-# count.  Measured on the products of the decomposition check, theta times
-# Euler products (6-18 x 203 terms) run faster in the pair loop and dense
-# products from about 32 x 32 terms run faster packed.
+# count.  The products that reach this choice are character times character,
+# in coset and in affine.branch_character (characters themselves are built
+# without __mul__).  On the seven products of the decomposition check the
+# packed product already wins from about 20 terms a factor, so 32 leans
+# towards the pair loop.
 _KRONECKER_MIN_TERMS = 32
 
 
@@ -160,6 +163,10 @@ def _kronecker(classes_a, classes_b, d: int, order: int) -> dict[int, int]:
     return acc
 
 
+# sets a slot of a new FracSeries, whose own __setattr__ refuses
+_set = object.__setattr__
+
+
 class FracSeries:
     """Truncated series ``sum_(p, c) in terms c * q**(p/den)``.
 
@@ -168,8 +175,9 @@ class FracSeries:
     nothing is known at or beyond that bound; exponents strictly below
     ``lowest/den`` are exactly zero.  ``coeffs`` is the dense view of slots
     ``lowest .. order-1`` (zeros included), derived on demand for
-    serialization and inspection.  Instances are immutable; all arithmetic
-    returns new objects.
+    serialization and inspection.  Instances are immutable: assigning to or
+    deleting a slot raises AttributeError, and all arithmetic returns new
+    objects.
     """
 
     __slots__ = ("den", "lowest", "order", "terms")
@@ -177,19 +185,27 @@ class FracSeries:
     def __init__(self, den: int, lowest: int, coeffs: Iterable[Fraction | int]):
         if den < 1:
             raise ValueError(f"denominator must be >= 1, got {den}")
-        self.den = int(den)
-        self.lowest = int(lowest)
+        lowest = int(lowest)
         values = [_exact(c) for c in coeffs]
-        self.order = self.lowest + len(values)
-        self.terms = tuple((self.lowest + k, c) for k, c in enumerate(values) if c)
+        _set(self, "den", int(den))
+        _set(self, "lowest", lowest)
+        _set(self, "order", lowest + len(values))
+        _set(self, "terms", tuple((lowest + k, c) for k, c in enumerate(values) if c))
 
     @classmethod
     def _from_terms(cls, den: int, lowest: int, order: int, pairs) -> "FracSeries":
         """Series from (position, coefficient) pairs with distinct positions."""
         out = object.__new__(cls)
-        out.den, out.lowest, out.order = den, lowest, order
-        out.terms = tuple(t for t in sorted(pairs) if t[1])
+        _set(out, "den", den)
+        _set(out, "lowest", lowest)
+        _set(out, "order", order)
+        _set(out, "terms", tuple(t for t in sorted(pairs) if t[1]))
         return out
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FracSeries is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def order_exponent(self) -> Fraction:
@@ -214,9 +230,6 @@ class FracSeries:
     def leading_term(self) -> tuple[Fraction, Fraction] | None:
         """First nonzero (exponent, coefficient), or None for a zero series."""
         return next(self.nonzero_terms(), None)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coeff(self, num: int | Fraction, den: int = 1) -> int | Fraction:
         """Exact coefficient of ``q**(num/den)``, an ``int`` when it is integral.
@@ -385,12 +398,11 @@ class FracSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FracSeries":
-        out = cls(int(d["denominator"]), int(d["lowest"]), d["coeffs"])
+        dense = cls(int(d["denominator"]), int(d["lowest"]), d["coeffs"])
         order = int(d["order"])
-        if order < out.order:
+        if order < dense.order:
             raise ValueError("order field below the stored coefficient range")
-        out.order = order
-        return out
+        return cls._from_terms(dense.den, dense.lowest, order, dense.terms)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -449,12 +461,13 @@ def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
         raise ValueError("sign must be +1 or -1")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    return _euler(((sign, exponent),), n_terms)
+    row = _euler(((sign, exponent),), n_terms)
+    return FracSeries._from_terms(1, 0, n_terms + 1, enumerate(row))
 
 
 @lru_cache(maxsize=32)
-def _euler(parts: tuple[tuple[int, int], ...], n: int) -> FracSeries:
-    """``prod_{(sign, e) in parts} prod_{m=1..n} (1 + sign*q^m)**e`` exact through q^n.
+def _euler(parts: tuple[tuple[int, int], ...], n: int) -> tuple[int, ...]:
+    """Dense row of ints: ``prod_{(sign, e) in parts} prod_{m=1..n} (1 + sign*q^m)**e``, q^0..q^n.
 
     Logarithmic-derivative recurrence ``n a_n = sum_{k=1..n} g(k) a_{n-k}``,
     where g is the sum of the parts' own: ``g(k) = -e sigma(k)`` for
@@ -477,7 +490,7 @@ def _euler(parts: tuple[tuple[int, int], ...], n: int) -> FracSeries:
     a = [1] + [0] * n
     for m in range(1, n + 1):
         a[m] = sum(map(mul, g[1 : m + 1], a[m - 1 :: -1])) // m
-    return FracSeries._from_terms(1, 0, n + 1, enumerate(a))
+    return tuple(a)
 
 
 def _theta(
@@ -487,9 +500,9 @@ def _theta(
 
     Each term sits at the integer position ``u*n**2`` on the lattice ``lcm`` of
     the scale's and the bound's denominators; duplicate positions are summed,
-    and one division by the gcd of den, bound and the nonzero positions gives
-    the coarsest lattice.  ``lowest`` is the first term's slot even when its
-    coefficient cancels (weights n and -n), as in ``series_from_terms``.
+    and ``reduced`` moves the result to the coarsest lattice.  ``lowest`` is
+    the first term's slot even when its coefficient cancels (weights n and
+    -n), as in ``series_from_terms``.
     """
     order = Fraction(order)
     den = lcm(scale.denominator, order.denominator)
@@ -500,10 +513,7 @@ def _theta(
     for n in range(-top + (residue + top) % modulus, top + 1, modulus):
         if (p := u * n * n) < stop:
             acc[p] += weight(n)
-    g = gcd(den, stop, *(p for p, c in acc.items() if c))
-    lowest = min(acc, default=stop)
-    pairs = [(p // g, c) for p, c in acc.items()]
-    return FracSeries._from_terms(den // g, -(-lowest // g), stop // g, pairs)
+    return FracSeries._from_terms(den, min(acc, default=stop), stop, acc.items()).reduced()
 
 
 def theta_null(a: int, b: int, order: int) -> FracSeries:
@@ -596,9 +606,9 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
             acc[p * f] += sign * c
     terms = sorted((p, c) for p, c in acc.items() if c)
     lo = terms[0][0]
-    # the Euler series is exact below q^(order+3)
+    # the Euler row is exact below q^(order+3)
     stop = min(bound * d, (order + 3) * d + lo)
-    euler = _euler(euler_parts, order + 2).coeffs
+    euler = _euler(euler_parts, order + 2)
     shift = d // eta_den
     pairs = []
     for r, row_terms in _classes(terms, 1, d):

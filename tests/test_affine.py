@@ -26,7 +26,7 @@ from cosetchar.affine import (
 )
 from cosetchar.cli import MAX_PQ
 from cosetchar.minimal import KacLabel, MinimalModel
-from cosetchar.series import _ceil, _euler, equal_through, monomial
+from cosetchar.series import FracSeries, _ceil, _euler, equal_through, monomial
 
 F = Fraction
 L = KacLabel
@@ -249,7 +249,7 @@ def _monomial_route(numerator, euler_parts, eta_den, target, order):
     """``series._character`` as products of series, the route it replaced.
 
     The theta numerator is a series summed from the public theta functions; it
-    is multiplied by the ``_euler`` series and then by the monomial
+    is multiplied by the ``_euler`` row as a series and then by the monomial
     q^(-1/eta_den), each through ``FracSeries.__mul__``.
     """
     bound = _ceil(target + F(1, eta_den)) + 2
@@ -257,7 +257,7 @@ def _monomial_route(numerator, euler_parts, eta_den, target, order):
     for sign, theta, args in numerator:
         term = theta(*args, bound) * sign
         num = term if num is None else num + term
-    out = num * _euler(euler_parts, order + 2)
+    out = num * FracSeries(1, 0, _euler(euler_parts, order + 2))
     span = out.order - out.lowest
     return out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
 

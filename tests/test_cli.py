@@ -190,13 +190,31 @@ def test_singular_ladder_report(capsys):
 
 
 def test_order_cap(capsys):
-    code, _, err = run(capsys, "char", "osp", "--level", "1", "--r", "1",
-                       "--order", "300")
-    assert code == 2
-    assert "order" in err
-    code, _, _ = run(capsys, "char", "osp", "--level", "1", "--r", "1",
-                     "--order", "300", "--max-order", "400")
-    assert code == 0
+    assert cli.MAX_ORDER == 200
+    code, out, err = run(capsys, "char", "osp", "--level", "1", "--r", "1", "--order", "200")
+    assert code == 0 and out and err == ""
+    for order in ("201", "300", "-1"):
+        code, out, err = run(capsys, "char", "osp", "--level", "1", "--r", "1",
+                             "--order", order)
+        assert code == 2 and out == ""
+        assert err == "error: order must lie in 0..200\n"
+
+
+# the cap is fixed: no subcommand has a flag that lifts it
+@pytest.mark.parametrize("argv", [
+    ("char", "vir", "--p", "10", "--q", "7", "--r", "1", "--s", "1", "--order", "50"),
+    ("char", "osp", "--level", "1", "--r", "1"),
+    ("char", "sl2", "--level", "2", "--i", "1", "--order", "3"),
+    ("verify", "decomposition", "--order", "3"),
+    ("verify", "central-charge"),
+    ("singular", "--order", "4"),
+    ("singular", "--alpha", "1", "--beta", "1", "--t", "1/2"),
+])
+def test_max_order_flag_is_refused(argv):
+    for extra in (("--max-order", "40"), ("--max-order=400",)):
+        code, out, err = _run_caught((*argv, *extra))
+        assert code == 2 and out == ""
+        assert "--max-order" in err.splitlines()[-1], argv
 
 
 def test_byte_identical_reruns(capsys):
@@ -242,12 +260,12 @@ def test_empty_output_path_is_usage_error(capsys):
     assert err.startswith("error: cannot write ''") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flags", [("--order", "37"), ("--max-order", "37"),
-                                   ("--order", "0"), ("--order", "20", "--max-order", "200")])
+@pytest.mark.parametrize("flags", [("--order", "37"), ("--order", "200"),
+                                   ("--order", "0"), ("--order=20",)])
 def test_verify_central_charge_refuses_order_flags(capsys, flags):
     code, out, err = run(capsys, "verify", "central-charge", *flags)
     assert code == 2 and out == ""
-    assert err == f"error: verify central-charge does not read {flags[0]}\n"
+    assert err == "error: verify central-charge does not read --order\n"
 
 
 def _run_caught(argv):
@@ -287,13 +305,12 @@ def test_unread_flag_is_refused(argv, flag):
     assert flag in err.splitlines()[-1]
 
 
-@pytest.mark.parametrize("flags", [("--order", "7"), ("--max-order", "30"),
-                                   ("--order", "0", "--max-order", "200")])
+@pytest.mark.parametrize("flags", [("--order", "7"), ("--order", "30"), ("--order", "0")])
 def test_singular_direct_evaluation_refuses_order_flags(capsys, flags):
     code, out, err = run(capsys, "singular", "--alpha", "1", "--beta", "1", "--t", "1/2", *flags)
     assert code == 2 and out == ""
-    assert err == f"error: direct evaluation does not read {flags[0]}\n"
-    # the ladder form reads them
+    assert err == "error: direct evaluation does not read --order\n"
+    # the ladder form reads it
     code, out, err = run(capsys, "singular", *flags, "--format", "text")
     assert code == 0 and out.startswith("PASS singular-ladder") and err == ""
 
@@ -343,17 +360,16 @@ def test_singular_direct_evaluation_refuses_csv(capsys):
 # The flags each subcommand reads (char: per kind), written out independently
 # of the parser; any other flag must be refused.
 _COMMON = ("--format", "--output")
-_ORDERS = ("--order", "--max-order")
 READS = {
     "kac-table": _COMMON,
-    "char vir": _COMMON + _ORDERS + ("--p", "--q", "--r", "--s"),
-    "char osp": _COMMON + _ORDERS + ("--level", "--r"),
-    "char sl2": _COMMON + _ORDERS + ("--level", "--i"),
-    "verify": _COMMON + _ORDERS + ("--perturb",),
+    "char vir": _COMMON + ("--order", "--p", "--q", "--r", "--s"),
+    "char osp": _COMMON + ("--order", "--level", "--r"),
+    "char sl2": _COMMON + ("--order", "--level", "--i"),
+    "verify": _COMMON + ("--order", "--perturb"),
     "fusion": _COMMON + ("--a", "--b", "--table"),
     "classify": _COMMON,
     "weights": _COMMON + ("--level", "--r"),
-    "singular": _COMMON + _ORDERS + ("--alpha", "--beta", "--t"),
+    "singular": _COMMON + ("--order", "--alpha", "--beta", "--t"),
 }
 # one accepted argv per READS key, and a well-formed value for each flag that
 # some command does not read (None: a switch)
@@ -368,9 +384,9 @@ _BASE = {
     "weights": ("weights", "--level", "1"),
     "singular": ("singular", "--alpha", "1", "--beta", "1", "--t", "1/2"),
 }
-_SAMPLE = {"--order": "0", "--max-order": "200", "--p": "4", "--q": "3", "--r": "1",
-           "--s": "1", "--level": "1", "--i": "0", "--perturb": "0:0:1", "--a": "1,1",
-           "--b": "1,1", "--table": None, "--alpha": "1", "--beta": "1", "--t": "1/2"}
+_SAMPLE = {"--order": "0", "--p": "4", "--q": "3", "--r": "1", "--s": "1", "--level": "1",
+           "--i": "0", "--perturb": "0:0:1", "--a": "1,1", "--b": "1,1", "--table": None,
+           "--alpha": "1", "--beta": "1", "--t": "1/2"}
 
 
 def test_every_unread_flag_is_refused():
@@ -404,7 +420,6 @@ _VALUES = {
     "--format": _mostly(st.sampled_from(("json", "csv", "text")), st.just("xml")),
     "--output": st.sampled_from(("OUT", "MISSING")),
     "--order": _mostly(st.integers(0, 40), st.integers(-1, 40)),
-    "--max-order": _mostly(st.integers(40, 200), st.integers(-1, 40)),
     "--p": _mostly(st.sampled_from((5, 10, 11)), st.integers(2, 12)),
     "--q": _mostly(st.sampled_from((3, 4, 7)), st.integers(2, 12)),
     "--r": _mostly(st.integers(1, 2), st.integers(0, 12)),

@@ -29,7 +29,7 @@ from cosetchar.affine import (
     osp_weight,
 )
 from cosetchar import affine, minimal, series
-from cosetchar.cli import DEFAULT_MAX_ORDER, main
+from cosetchar.cli import MAX_ORDER, main
 from cosetchar.minimal import MinimalModel
 from cosetchar.series import _ceil, euler_product, monomial, theta_null, weighted_theta
 
@@ -132,7 +132,7 @@ def _separate_vir(model, lab, order):
 def test_decomposition_at_cli_cap_matches_separate_factor_route():
     # every row at the CLI cap against characters assembled with separate
     # Euler factors, one osp character per row, read one coefficient at a time
-    order = DEFAULT_MAX_ORDER
+    order = MAX_ORDER
     report = verify_decomposition(order)
     assert report.passed
 
@@ -151,7 +151,7 @@ def test_decomposition_at_cli_cap_matches_separate_factor_route():
 
 def test_decomposition_along_branching_route_at_cli_cap():
     # every osp character from its sl2 x Virasoro branching: no osp theta sum
-    order = DEFAULT_MAX_ORDER
+    order = MAX_ORDER
     products = _products(order, lambda lab: branch_character(2, lab.r, "both", order))
     one = branch_character(1, 1, "both", order)
     target = _coeff_row(one * one, order)
@@ -163,9 +163,9 @@ def test_decomposition_along_branching_route_at_cli_cap():
 
 def test_decomposition_passes_past_cli_cap():
     # four times the CLI cap: the products carry coefficients of about 150 bits
-    report = verify_decomposition(4 * DEFAULT_MAX_ORDER)
+    report = verify_decomposition(4 * MAX_ORDER)
     assert report.passed
-    assert len(report.comparisons) == 4 * DEFAULT_MAX_ORDER + 1
+    assert len(report.comparisons) == 4 * MAX_ORDER + 1
 
 
 def test_column_sums_recomputed_not_copied():
@@ -242,7 +242,7 @@ def test_even_refinement_recombines_to_full_rows():
 
 def test_parity_identities_at_cli_cap():
     # containment and recombination need no reference rows, so they run past q^10
-    order = DEFAULT_MAX_ORDER
+    order = MAX_ORDER
     tables = _parity_tables(order)
     for *products, (_, target) in tables.values():
         _, comparisons = _sum_rule(products, target, order)

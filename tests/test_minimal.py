@@ -8,7 +8,7 @@ import pytest
 
 from cosetchar import extension, minimal
 from cosetchar.cli import MAX_PQ
-from cosetchar.minimal import KacLabel, MinimalModel, ModuleSum, _triple_ok, kac_table_csv
+from cosetchar.minimal import KacLabel, MinimalModel, ModuleSum, kac_table_csv
 from cosetchar.series import equal_through
 
 F = Fraction
@@ -79,7 +79,7 @@ def test_canon_range_error_text(p, q):
         assert str(canon_err.value) == f"label {label} outside 1..{q - 1} x 1..{p - 1}"
     for r, s in itertools.product(range(1, q), range(1, p)):
         label = L(r, s)
-        want = min(label, model.kac_partner(label))
+        want = min(label, L(q - r, p - s))
         got = model.canon(label)
         assert got == want and type(got) is KacLabel, (label, got)
         if want == label:
@@ -134,18 +134,36 @@ def test_canonical_labels_are_low_r():
 
 # --- admissibility and fusion ------------------------------------------------
 
+# The admissible-triple conditions, kept here as the reference that fusion is
+# checked against: the su(2) triangle inequalities and parity on each of r and
+# s, and the caps 2q-1 and 2p-1 on the label sums.
+
+def _triple_ok(xs, cap):
+    a, b, c = xs
+    total = a + b + c
+    if total > cap or total % 2 == 0:
+        return False
+    return a < b + c and b < a + c and c < a + b
+
+
+def _is_admissible(model, t1, t2, t3):
+    """Admissibility of the raw in-range triple; representatives are not swapped."""
+    return (_triple_ok((t1.r, t2.r, t3.r), 2 * model.q - 1)
+            and _triple_ok((t1.s, t2.s, t3.s), 2 * model.p - 1))
+
+
 def test_admissible_examples():
-    assert M107.is_admissible(L(2, 1), L(2, 1), L(3, 1))
+    assert _is_admissible(M107, L(2, 1), L(2, 1), L(3, 1))
     # parity violation
-    assert not M107.is_admissible(L(2, 1), L(2, 1), L(2, 1))
+    assert not _is_admissible(M107, L(2, 1), L(2, 1), L(2, 1))
     for r in range(1, 7):
         for s in range(1, 10):
-            assert M107.is_admissible(L(r, s), L(6, 1), L(7 - r, s))
+            assert _is_admissible(M107, L(r, s), L(6, 1), L(7 - r, s))
 
 
 def test_fusion_unit():
     for lab in M107.canonical_labels():
-        assert M107.fusion_dim(L(1, 1), lab, lab) == 1
+        assert M107.fuse(L(1, 1), lab)[M107.canon(lab)] == 1
         assert M107.fuse(L(1, 1), lab) == {lab: 1}
 
 
@@ -161,14 +179,15 @@ def test_fuse_2_1_squared():
     out = M107.fuse(L(2, 1), L(2, 1))
     assert out == {L(1, 1): 1, L(3, 1): 1}
     # no representative combination makes (5,1) admissible here
-    assert M107.fusion_dim(L(2, 1), L(2, 1), L(5, 1)) == 0
+    assert M107.fuse(L(2, 1), L(2, 1))[M107.canon(L(5, 1))] == 0
 
 
 def test_fusion_dim_totally_symmetric():
     labels = [L(2, 1), L(3, 4), L(1, 5), L(2, 9)]
     for t1, t2, t3 in itertools.product(labels, repeat=3):
         vals = {
-            M107.fusion_dim(*perm) for perm in itertools.permutations((t1, t2, t3))
+            M107.fuse(a, b)[M107.canon(c)]
+            for a, b, c in itertools.permutations((t1, t2, t3))
         }
         assert len(vals) == 1
 
@@ -298,7 +317,7 @@ def test_fusion_dim_matches_representative_search_on_raw_triples():
     for model in (M107, MinimalModel(5, 4)):
         raw = [L(r, s) for r in range(1, model.q) for s in range(1, model.p)]
         for t1, t2, t3 in itertools.product(raw, repeat=3):
-            assert model.fusion_dim(t1, t2, t3) == _reference_fusion_dim(
+            assert model.fuse(t1, t2)[model.canon(t3)] == _reference_fusion_dim(
                 model, t1, t2, t3
             ), (model, t1, t2, t3)
 
@@ -333,7 +352,7 @@ def test_fuse_returns_one_shared_read_only_result():
     a, b = L(2, 1), L(3, 4)
     out = M107.fuse(a, b)
     assert M107.fuse(a, b) is out
-    assert M107.fuse(M107.kac_partner(a), b) is out  # same class, same object
+    assert M107.fuse(L(7 - a.r, 10 - a.s), b) is out  # same class, same object
     with pytest.raises(TypeError):
         out.mults[L(1, 1)] = 1
     assert out == M107.fuse(b, a) and L(1, 1) not in out.mults
@@ -345,7 +364,7 @@ def test_products_are_shared_per_unordered_pair(p, q):
     for a, b in itertools.product(model.canonical_labels(), repeat=2):
         out = model.fuse(a, b)
         assert model.fuse(b, a) is out, (a, b)
-        pa, pb = model.kac_partner(a), model.kac_partner(b)
+        pa, pb = L(q - a.r, p - a.s), L(q - b.r, p - b.s)
         for x, y in ((pa, b), (b, pa), (a, pb), (pb, a), (pa, pb), (pb, pa)):
             assert model.fuse(x, y) is out, (a, b, x, y)
 
@@ -401,7 +420,7 @@ def test_character_coefficients_nonneg_integers():
 
 def test_character_kac_symmetric():
     for lab in [L(2, 3), L(1, 5), L(3, 1)]:
-        partner = M107.kac_partner(lab)
+        partner = L(7 - lab.r, 10 - lab.s)
         ch, ch_partner = M107.character(lab, 12), M107.character(partner, 12)
         top = M107.conformal_weight(lab) - M107.central_charge() / 24 + 12
         assert equal_through(ch, ch_partner, top), lab

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosetchar import series
+from cosetchar.minimal import KacLabel, MinimalModel
 from cosetchar.series import (
     FracSeries,
     _euler,
@@ -70,7 +71,7 @@ def test_monomial_single_term():
 
 def test_monomial_zero_series():
     s = monomial(0, 0, 1, 10)
-    assert s.is_zero()
+    assert not s.terms
     assert s.order == 10
 
 
@@ -115,7 +116,7 @@ def test_mul_binomial_square():
 def test_mul_by_zero_absorbs():
     s = monomial(2, 1, 3, 10)
     z = monomial(0, 0, 1, 10)
-    assert (s * z).is_zero()
+    assert not (s * z).terms
 
 
 def test_mul_inverse_euler_factors():
@@ -138,6 +139,22 @@ def test_mul_tracks_exact_order():
     # a's unknown tail times b's leading q^2 pollutes at 3 + 2, not before
     short = a * FracSeries(1, 2, [1])     # b exact only below q^3
     assert short.order_exponent == F(3)   # clipped by 3 + 0
+
+
+def test_series_slots_cannot_be_assigned_or_deleted():
+    # a cached character is shared by every caller in a process
+    model = MinimalModel(10, 7)
+    cached = model.character(KacLabel(1, 1), 5)
+    for s in (monomial(1, -1, 30, 40), FracSeries(2, -1, [1, 0, 3]),
+              FracSeries.loads(cached.dumps()), cached):
+        before = (s.den, s.lowest, s.order, s.terms)
+        for slot in ("den", "lowest", "order", "terms"):
+            with pytest.raises(AttributeError):
+                setattr(s, slot, getattr(s, slot))
+            with pytest.raises(AttributeError):
+                delattr(s, slot)
+        assert (s.den, s.lowest, s.order, s.terms) == before
+    assert model.character(KacLabel(1, 1), 5) is cached
 
 
 # --- euler_product ---------------------------------------------------------
@@ -249,7 +266,7 @@ def test_weighted_theta_term_values():
 
 def test_weighted_theta_zero_offset_cancels():
     s = weighted_theta(6, 0, F(3, 2), 30)
-    assert s.is_zero()
+    assert not s.terms
 
 
 def _theta_reference(a, b, c, bound):
@@ -579,10 +596,10 @@ def test_combined_euler_matches_product_of_single_factors():
             for sign, e in parts[1:]:
                 full = full * euler_product(sign, e, 60)
             for n in (1, 2, 7, 60):
-                s = _euler(parts, n)
+                s = FracSeries(1, 0, _euler(parts, n))
                 t = full.truncate(n + 1)
                 assert (s.den, s.lowest, s.order, s.terms) == (1, 0, n + 1, t.terms), (parts, n)
-            assert _euler(parts[::-1], 60).terms == full.terms, parts
+            assert FracSeries(1, 0, _euler(parts[::-1], 60)).terms == full.terms, parts
 
 
 def test_combined_euler_every_length():
@@ -592,7 +609,7 @@ def test_combined_euler_every_length():
             full = euler_product(*parts[0], n)
             for sign, e in parts[1:]:
                 full = full * euler_product(sign, e, n)
-            s = _euler(parts, n)
+            s = FracSeries(1, 0, _euler(parts, n))
             assert (s.den, s.lowest, s.order, s.terms) == (1, 0, n + 1, full.terms), (parts, n)
 
 
