@@ -15,58 +15,15 @@ The package is organized in layers:
 - extension: module census and fusion ring of the simple-current extension
   V(1,1) + V(6,1) of the (10,7) model
 - cli: all of the above as deterministic JSON/CSV/text commands
+
+Each submodule's ``__all__`` is its one list of public names; the package
+re-exports those of the first five and does not import cli.
 """
 
-from .affine import (
-    BranchTerm,
-    OspLabel,
-    Sl2Label,
-    branch_character,
-    branch_model,
-    branch_terms,
-    branch_weight,
-    h_alpha_beta,
-    lowest_space,
-    osp_central_charge,
-    osp_character,
-    osp_modules,
-    osp_weight,
-    singular_weights,
-    sl2_central_charge,
-    sl2_character,
-    sl2_weight,
-)
-from .coset import (
-    COSET_DECOMPOSITION,
-    Comparison,
-    DecompositionSpec,
-    VerificationReport,
-    coefficient_table,
-    run_all,
-    singular_ladder,
-    verify_central_charge,
-    verify_decomposition,
-    verify_even_refinement,
-)
-from .extension import (
-    ExtLabel,
-    ExtModuleSum,
-    FixedPointFusionWarning,
-    classify_ext_modules,
-    ext_fuse,
-    ext_irreducibles,
-    ext_label,
-    fusion_table,
-    simple_current_image,
-)
-from .minimal import KacLabel, MinimalModel, ModuleSum, kac_table_csv
-from .series import (
-    FracSeries,
-    euler_product,
-    monomial,
-    series_from_terms,
-    theta_null,
-    weighted_theta,
-)
+from .affine import *
+from .coset import *
+from .extension import *
+from .minimal import *
+from .series import *
 
 __version__ = "0.1.0"

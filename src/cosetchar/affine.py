@@ -32,6 +32,7 @@ __all__ = [
     "BranchTerm",
     "osp_central_charge",
     "osp_modules",
+    "osp_weight",
     "osp_character",
     "sl2_central_charge",
     "sl2_weight",

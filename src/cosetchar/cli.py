@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -39,6 +40,9 @@ DEFAULT_ORDER = 20
 MAX_ORDER = 200
 MAX_PQ = 16
 MAX_LEVEL = 150
+# the one form --t takes: an integer or NUM/DEN in ASCII digits; Fraction
+# would also read an exponent such as 1e99999999 and build 10**99999999
+T_FORM = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class UsageError(Exception):
@@ -107,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("singular", "singular-vector weight ladder", order=True)
     p.add_argument("--alpha", type=int)
     p.add_argument("--beta", type=int)
-    p.add_argument("--t", metavar="NUM/DEN", help="evaluate one weight at this t")
+    p.add_argument("--t", metavar="NUM/DEN",
+                   help="evaluate one weight at this t, an integer or NUM/DEN")
 
     return parser
 
@@ -360,6 +365,8 @@ def cmd_singular(args) -> tuple[str, int]:
             raise UsageError("direct evaluation needs --alpha, --beta and --t")
         if args.order_given:
             raise UsageError("direct evaluation does not read --order")
+        if not T_FORM.fullmatch(args.t):
+            raise UsageError(f"--t {args.t!r} is not an integer or NUM/DEN")
         try:
             t = Fraction(args.t)
         except (ValueError, ZeroDivisionError):

@@ -50,7 +50,6 @@ __all__ = [
     "VerificationReport",
     "verify_central_charge",
     "verify_decomposition",
-    "coefficient_table",
     "verify_even_refinement",
     "singular_ladder",
     "run_all",
@@ -123,8 +122,8 @@ class VerificationReport:
             "pass": self.passed,
         }
 
-    def dumps(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def dumps(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
         width = max((len(c) for _, c in self.rows), default=0)
@@ -232,14 +231,6 @@ def verify_decomposition(
         comparisons=comparisons,
         notes=notes,
     )
-
-
-def coefficient_table(order: int = 20) -> list[list[int]]:
-    """Integer coefficient matrix: six summand rows, target row, column sums."""
-    rows = [list(coeffs) for _, coeffs in verify_decomposition(order).rows]
-    if any(type(c) is not int for row in rows for c in row):
-        raise ValueError("non-integer coefficient in normalized table")
-    return rows
 
 
 # -- parity refinement ---------------------------------------------------------

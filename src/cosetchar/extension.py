@@ -105,6 +105,7 @@ def ext_label(r: int, s: int) -> ExtLabel:
 class ExtModuleSum(ModuleSum):
     """Multiset of orbit representatives with positive multiplicities."""
 
+    __slots__ = ()
     _key = staticmethod(ExtLabel.orbit)
     _label = ExtLabel
 

@@ -8,7 +8,8 @@ levels q-2 (on r) and p-2 (on s), read through the Kac identification; since
 one of p, q is odd, at most one label of each pair occurs, so multiplicities
 are 0 or 1.  Fusion is commutative, so ``fuse`` puts its two canonical
 labels in order and builds each product once per unordered pair; it returns
-that cached, read-only ``ModuleSum`` for either order on every later call.
+that cached ``ModuleSum``, immutable so that no caller can change it under
+another, for either order on every later call.
 ``canon`` returns the label itself when it is already canonical.  A product
 and a sum of two multisets hold distinct canonical labels already, so the
 trusted ``ModuleSum._from_mults`` builds them with no re-check and no
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 from .series import FracSeries, _character, theta_null
 
-__all__ = ["KacLabel", "MinimalModel", "ModuleSum"]
+__all__ = ["KacLabel", "MinimalModel", "ModuleSum", "kac_table_csv"]
 
 
 class KacLabel(NamedTuple):
@@ -43,10 +44,13 @@ class KacLabel(NamedTuple):
 class ModuleSum:
     """Finite multiset of canonical Kac labels with positive multiplicities.
 
-    ``mults`` is read-only, so one instance can be shared.  Subclasses name
-    their label type in ``_label`` and fold equivalent labels in ``_key``.
+    Immutable, so one instance can be shared: ``mults`` is a read-only
+    mapping, and setting or deleting any attribute raises AttributeError.
+    Subclasses name their label type in ``_label`` and fold equivalent
+    labels in ``_key``.
     """
 
+    __slots__ = ("mults",)
     _key = staticmethod(lambda label: label)
     _label = KacLabel
 
@@ -62,14 +66,19 @@ class ModuleSum:
             if m:
                 key = self._key(lab)
                 acc[key] = acc.get(key, 0) + m
-        self.mults = MappingProxyType(dict(sorted(acc.items())))
+        object.__setattr__(self, "mults", MappingProxyType(dict(sorted(acc.items()))))
 
     @classmethod
     def _from_mults(cls, mults: dict) -> "ModuleSum":
         """Trusted: positive multiplicities on distinct, already folded ``_label`` keys."""
         out = object.__new__(cls)
-        out.mults = MappingProxyType(dict(sorted(mults.items())))
+        object.__setattr__(out, "mults", MappingProxyType(dict(sorted(mults.items()))))
         return out
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if isinstance(other, dict):

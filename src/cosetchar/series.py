@@ -47,7 +47,6 @@ __all__ = [
     "euler_product",
     "theta_null",
     "weighted_theta",
-    "series_from_terms",
     "equal_through",
 ]
 
@@ -422,25 +421,6 @@ class FracSeries:
         return f"<FracSeries {body} exact below q^({self.order_exponent})>"
 
 
-def series_from_terms(
-    terms: Iterable[tuple[Fraction, Fraction]], bound: Fraction | int
-) -> FracSeries:
-    """Build a series from (exponent, coefficient) pairs, exact below bound.
-
-    The lattice denominator is the lcm of the exponent denominators and the
-    bound's, so every term sits on an integer slot.
-    """
-    bound = Fraction(bound)
-    kept = [(e, c) for e, c in ((Fraction(e), c) for e, c in terms) if e < bound]
-    d = lcm(bound.denominator, *(e.denominator for e, _ in kept))
-    order = bound.numerator * (d // bound.denominator)
-    acc = defaultdict(int)
-    for e, c in kept:
-        acc[e.numerator * (d // e.denominator)] += _exact(c)
-    lowest = min(acc, default=order)
-    return FracSeries._from_terms(d, lowest, order, _exact_values(acc).items()).reduced()
-
-
 def monomial(c: Fraction | int, num: int, den: int, order_terms: int) -> FracSeries:
     """Single term ``c * q**(num/den)`` with order_terms retained slots."""
     if den < 1:
@@ -502,7 +482,7 @@ def _theta(
     the scale's and the bound's denominators; duplicate positions are summed,
     and ``reduced`` moves the result to the coarsest lattice.  ``lowest`` is
     the first term's slot even when its coefficient cancels (weights n and
-    -n), as in ``series_from_terms``.
+    -n).
     """
     order = Fraction(order)
     den = lcm(scale.denominator, order.denominator)

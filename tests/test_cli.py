@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,29 @@ def test_singular_direct_value(capsys):
                        "--t", "10/7", "--format", "text")
     assert code == 0
     assert out.strip() == "16/1"
+
+
+# --t takes [+-]DIGITS or [+-]DIGITS/DIGITS only: Fraction would read an
+# exponent too, and 1e99999999 would build 10**99999999 before any check
+@pytest.mark.parametrize("t", ["1e5", "2E-3", "0.5", "1e99999999"])
+def test_singular_t_outside_its_form_exits_2_at_once(capsys, t):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "singular", "--alpha", "1", "--beta", "1", "--t", t)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: --t {t!r} is not an integer or NUM/DEN\n"
+
+
+@pytest.mark.parametrize("t, code, out, err", [
+    ("10/7", 0, '{"alpha": 2, "beta": -1, "t": "10/7", "value": "18/7"}\n', ""),
+    ("5/4", 0, '{"alpha": 2, "beta": -1, "t": "5/4", "value": "39/16"}\n', ""),
+    ("7/10", 0, '{"alpha": 2, "beta": -1, "t": "7/10", "value": "81/40"}\n', ""),
+    ("3/2", 0, '{"alpha": 2, "beta": -1, "t": "3/2", "value": "21/8"}\n', ""),
+    ("1/0", 2, "", "error: --t '1/0' is not a rational\n"),
+    ("0", 2, "", "error: t must be nonzero\n"),
+])
+def test_singular_t_in_its_form(capsys, t, code, out, err):
+    assert run(capsys, "singular", "--alpha", "2", "--beta", "-1", "--t", t) == (code, out, err)
 
 
 def test_singular_ladder_report(capsys):

@@ -9,7 +9,6 @@ import pytest
 from cosetchar.coset import (
     BASE_EXPONENT,
     COSET_DECOMPOSITION,
-    coefficient_table,
     run_all,
     singular_ladder,
     verify_central_charge,
@@ -207,9 +206,10 @@ def test_ladder_comparisons_are_decomposition_columns():
 
 
 def test_coefficient_table_shape_and_integrality():
-    table = coefficient_table(19)
+    table = [list(coeffs) for _, coeffs in verify_decomposition(19).rows]
     assert len(table) == 8  # six summands, target, column sums
     assert all(len(row) == 20 for row in table)
+    assert all(type(c) is int for row in table for c in row)
     assert table[6] == TARGET_ROW
     assert table[7] == TARGET_ROW
     assert table[5] == SUMMAND_ROWS["ch[M5]*ch[V(5,1)]"]

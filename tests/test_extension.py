@@ -375,6 +375,23 @@ def test_adding_an_empty_multiset_gives_the_other_operand(cls, keys, twins):
     assert empty + empty == {} and len(empty + empty) == 0
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: MODEL.fuse(L(2, 1), L(2, 1)), id="fuse"),
+    pytest.param(lambda: ext_fuse(ext_label(2, 1), ext_label(3, 3)), id="ext_fuse"),
+])
+def test_cached_products_refuse_rebinding_deleting_and_new_attributes(build):
+    # a rebound mults on the shared product would change every later lookup
+    out = build()
+    before = dict(out.mults)
+    for attempt in (lambda: setattr(out, "mults", {}), lambda: delattr(out, "mults"),
+                    lambda: setattr(out, "extra", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    again = build()
+    assert again is out and dict(again.mults) == before and before
+    assert not hasattr(out, "extra")
+
+
 def test_ext_fuse_equals_validating_constructor():
     # the trusted fold in ext_fuse against the public constructor's fold of
     # the same constituent product, for every pair and constituent choice

@@ -1,10 +1,20 @@
-"""The README "Python API" block runs, and every value it states in a comment holds."""
+"""The README "Python API" block runs, and every value it states in a comment holds.
+
+Also: each module's ``__all__`` is the one list of public names, which the
+package re-exports as it is.
+"""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from cosetchar import affine, coset, extension, minimal, series
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +49,29 @@ def test_readme_api_comments_are_values():
         assert value == expected and type(value) is type(expected), ast.unparse(stmt)
         checked += 1
     assert checked == 4
+
+
+MODULES = (affine, coset, extension, minimal, series)
+
+
+def test_each_public_name_is_declared_once():
+    declared = [name for module in MODULES for name in module.__all__]
+    assert len(declared) == len(set(declared))  # no name in two __all__ lists
+    for module in MODULES:
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
+    # a fresh interpreter: other tests import cosetchar.cli into this one
+    probe = ("import cosetchar, json, sys; print(json.dumps([sorted(n for n in vars(cosetchar)"
+             " if not n.startswith('_')), 'cosetchar.cli' in sys.modules]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(README.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    names, cli_loaded = json.loads(proc.stdout)
+    assert not cli_loaded
+    submodules = {module.__name__.rsplit(".", 1)[1] for module in MODULES}
+    assert set(names) - submodules == set(declared)

@@ -16,7 +16,6 @@ from cosetchar.series import (
     equal_through,
     euler_product,
     monomial,
-    series_from_terms,
     theta_null,
     weighted_theta,
 )
@@ -25,6 +24,26 @@ F = Fraction
 
 
 # --- independent oracles -------------------------------------------------
+
+def series_from_terms(terms, bound):
+    """Series from (exponent, coefficient) pairs, exact below bound, over Fraction exponents.
+
+    The lattice denominator is the lcm of the exponent denominators and the
+    bound's, so every term sits on an integer slot; duplicate exponents are
+    summed, an integral coefficient is stored as an int, and ``reduced``
+    moves the result to the coarsest lattice.
+    """
+    bound = F(bound)
+    kept = [(F(e), F(c)) for e, c in terms if F(e) < bound]
+    d = lcm(bound.denominator, *(e.denominator for e, _ in kept))
+    order = bound.numerator * (d // bound.denominator)
+    acc = {}
+    for e, c in kept:
+        p = e.numerator * (d // e.denominator)
+        acc[p] = acc.get(p, 0) + c
+    pairs = [(p, c.numerator if c.denominator == 1 else c) for p, c in acc.items()]
+    return FracSeries._from_terms(d, min(acc, default=order), order, pairs).reduced()
+
 
 @cache
 def partition_count(n, max_part=None):
