@@ -12,7 +12,7 @@ from cosetchar import euler_product, monomial, theta_null, weighted_theta
 # prod (1 - q^n)^(-1).
 partitions = euler_product(-1, -1, 20)
 print("partition numbers p(0..12):")
-print("  ", [int(partitions.coeff(n)) for n in range(13)])
+print("  ", [partitions.coeff(n) for n in range(13)])
 
 # With exponent +1 the product sparsifies into the pentagonal-number pattern.
 pentagonal = euler_product(-1, 1, 26)
@@ -34,8 +34,8 @@ for e, c in list(wt.nonzero_terms())[:4]:
 
 # Series multiply exactly; a prefactor shifts the exponent lattice.
 eta_shift = monomial(1, -1, 24, 600)
-print("theta/eta-style product leading term:",
-      (theta * eta_shift * euler_product(-1, -1, 24)).leading_term())
+e, c = (theta * eta_shift * euler_product(-1, -1, 24)).leading_term()
+print("theta/eta-style product leading term:", (e, Fraction(c)))
 
 # Asking beyond the truncation bound is an error, never a silent zero.
 try:

@@ -15,7 +15,7 @@ print()
 report = verify_decomposition(12)
 print(f"decomposition check to order {report.order}: {'PASS' if report.passed else 'FAIL'}")
 for label, coeffs in report.rows:
-    cells = " ".join(f"{int(c):>6d}" for c in coeffs)
+    cells = " ".join(f"{c:>6d}" for c in coeffs)
     print(f"  {label:<24s} {cells}")
 print()
 

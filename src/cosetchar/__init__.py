@@ -2,10 +2,10 @@
 
 The package is organized in layers:
 
-- series: truncated exact q-series with fractional exponents, the theta
-  sums and Euler products every character is built from, and the one
-  character assembly (theta times one combined Euler product over q^(1/24)
-  or q^(1/8), one integer pass, cached per character)
+- series: truncated exact q-series with fractional exponents and int
+  coefficients, the theta sums and Euler products every character is built
+  from, and the one character assembly (theta times one combined Euler
+  product over q^(1/24) or q^(1/8), one integer pass, cached per character)
 - minimal: Kac tables, su(2) x su(2) fusion rules and irreducible characters
   of the rational Virasoro models
 - affine: osp(1|2) and sl2 affine characters and the parity branching that

@@ -112,6 +112,8 @@ def osp_central_charge(l: int) -> Fraction:
 
 
 def osp_modules(l: int) -> list[OspLabel]:
+    if l < 1:
+        raise ValueError("level must be a positive integer")
     return [OspLabel(l, r) for r in range(1, 2 * l + 2, 2)]
 
 
@@ -167,6 +169,8 @@ def branch_model(l: int) -> MinimalModel:
 
 def branch_terms(l: int, r: int, parity: Parity = "both") -> list[BranchTerm]:
     OspLabel(l, r)
+    if parity not in ("even", "odd", "both"):
+        raise ValueError(f"parity must be 'even', 'odd' or 'both', got {parity!r}")
     out = []
     for i in range(0, l + 1):
         par = "even" if i % 2 == 0 else "odd"
@@ -194,12 +198,10 @@ def branch_character(l: int, r: int, parity: Parity = "both", order: int = 20) -
     if order < 0:
         raise ValueError("order must be >= 0")
     model = branch_model(l)
-    total = None
-    for term in branch_terms(l, r, parity):
-        piece = sl2_character(term.sl2, order + 1) * model.character(term.vir, order + 1)
-        total = piece if total is None else total + piece
-    if total is None:
-        raise ValueError(f"no branch terms of parity {parity!r}")
+    # every parity has a term at every level: i = 0 is even, i = 1 odd
+    pieces = [sl2_character(term.sl2, order + 1) * model.character(term.vir, order + 1)
+              for term in branch_terms(l, r, parity)]
+    total = sum(pieces[1:], pieces[0])
     target = osp_weight(l, r) - osp_central_charge(l) / 24 + order
     if total.order_exponent <= target:
         raise RuntimeError("internal truncation bookkeeping error")

@@ -45,6 +45,20 @@ MAX_LEVEL = 150
 T_FORM = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _join_t(argv: list[str]) -> list[str]:
+    """argv with ``--t VALUE`` as ``--t=VALUE`` when VALUE has ``T_FORM``.
+
+    argparse would read a value such as ``-3/2`` as a flag.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--t" and T_FORM.fullmatch(tok):
+            out[-1] = f"--t={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 class UsageError(Exception):
     pass
 
@@ -382,7 +396,7 @@ def cmd_singular(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_join_t(sys.argv[1:] if argv is None else argv))
     ns = vars(args)  # --order is absent unless given; note whether, then default
     args.order_given = "order" in ns
     order = ns.setdefault("order", DEFAULT_ORDER)

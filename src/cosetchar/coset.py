@@ -266,7 +266,7 @@ def _parity_tables(order: int) -> dict[str, list[tuple[str, tuple[int, ...]]]]:
     # are the parity parts of a single level-1 factor
     e = branch_character(1, 1, "even", order)
     o = branch_character(1, 1, "odd", order)
-    squares = {"even": e * e + o * o, "odd": (e * o).scaled(2)}
+    squares = {"even": e * e + o * o, "odd": (e * o) * 2}
     return {
         parity: _products(
             order, lambda osp_lab: branch_character(2, osp_lab.r, parity, order), parity

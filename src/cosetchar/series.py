@@ -1,18 +1,16 @@
-"""Exact truncated formal series in a fractional power of q.
+"""Exact truncated formal series in a fractional power of q, with int coefficients.
 
 A :class:`FracSeries` stores only its nonzero terms, as sorted
-``(position, coefficient)`` pairs on the exponent lattice ``(1/den)Z``; an
-integral coefficient is a plain ``int`` and a ``Fraction`` only when it is
-not, whether a caller passed it or arithmetic made it: an operation with a
-``Fraction`` operand or factor turns its integral results back into
-``int``.  Every operation tracks the largest exponent bound below which its
-result is still exact, so a coefficient can never silently degrade into
-garbage: asking for one at or beyond the bound raises instead of returning
-zero.  A product never multiplies or packs a term that cannot land below its
-bound.  Small products, and products with a ``Fraction`` coefficient, loop
-over pairs of terms; large integer ones pack each residue class of each
-factor into one big ``int`` and let a single multiply do the convolution
-(Kronecker substitution), discarding the slots past the bound.
+``(position, coefficient)`` pairs on the exponent lattice ``(1/den)Z``.
+Exponents are fractional, coefficients are ``int``: every series in this
+package is a graded dimension.  Every operation tracks the largest exponent
+bound below which its result is still exact, so a coefficient can never
+silently degrade into garbage: asking for one at or beyond the bound raises
+instead of returning zero.  A product never multiplies or packs a term that
+cannot land below its bound.  Small products loop over pairs of terms; large
+ones pack each residue class of each factor into one big ``int`` and let a
+single multiply do the convolution (Kronecker substitution), discarding the
+slots past the bound.
 
 The module also provides the handful of special series every character in
 this package is assembled from: plain monomial prefactors, Euler products
@@ -38,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -57,14 +55,6 @@ def _ceil(x: Fraction | int) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def _exact(c) -> int | Fraction:
-    """A coefficient as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 # A product runs the pair loop while its smaller factor has fewer nonzero
 # terms than this.  That count bounds the pairs summed into one product
 # coefficient, while packing costs about the same per slot whatever the
@@ -74,22 +64,6 @@ def _exact(c) -> int | Fraction:
 # packed product already wins from about 20 terms a factor, so 32 leans
 # towards the pair loop.
 _KRONECKER_MIN_TERMS = 32
-
-
-def _all_int(*term_lists) -> bool:
-    return all(type(c) is int for terms in term_lists for _, c in terms)
-
-
-def _exact_values(acc: dict) -> dict:
-    """acc with every integral coefficient an ``int``; acc itself when all are ints.
-
-    Arithmetic on ints gives ints, and any ``Fraction`` operand gives a
-    ``Fraction``, so the type of one C-level sum tells whether a ``Fraction``
-    took part: the all-int paths pay only that sum.
-    """
-    if type(sum(acc.values())) is int:
-        return acc
-    return {p: _exact(c) for p, c in acc.items()}
 
 
 def _classes(terms, f: int, d: int) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -119,7 +93,7 @@ def _pack(row, lo: int, length: int, wb: int, half: int) -> int:
 
 
 def _kronecker(classes_a, classes_b, d: int, order: int) -> dict[int, int]:
-    """Product terms below position order of two integer series given by ``_classes``.
+    """Product terms below position order of two series given by ``_classes``.
 
     Inside a residue class the terms are integer-spaced, so each pair of
     classes is a product of two dense integer polynomials.  Each one is
@@ -169,24 +143,25 @@ _set = object.__setattr__
 class FracSeries:
     """Truncated series ``sum_(p, c) in terms c * q**(p/den)``.
 
-    ``terms`` holds the nonzero coefficients only, sorted by position.  The
-    series is exact for every exponent strictly below ``order/den`` and
-    nothing is known at or beyond that bound; exponents strictly below
-    ``lowest/den`` are exactly zero.  ``coeffs`` is the dense view of slots
-    ``lowest .. order-1`` (zeros included), derived on demand for
-    serialization and inspection.  Instances are immutable: assigning to or
-    deleting a slot raises AttributeError, and all arithmetic returns new
-    objects.
+    ``terms`` holds the nonzero ``int`` coefficients only, sorted by
+    position.  The series is exact for every exponent strictly below
+    ``order/den`` and nothing is known at or beyond that bound; exponents
+    strictly below ``lowest/den`` are exactly zero.  ``coeffs`` is the dense
+    view of slots ``lowest .. order-1`` (zeros included), derived on demand
+    for serialization and inspection.  Instances are immutable: assigning to
+    or deleting a slot raises AttributeError, and all arithmetic returns new
+    objects.  A coefficient or scalar that is not an integer raises
+    TypeError.
     """
 
     __slots__ = ("den", "lowest", "order", "terms")
 
-    def __init__(self, den: int, lowest: int, coeffs: Iterable[Fraction | int]):
+    def __init__(self, den: int, lowest: int, coeffs: Iterable[int]):
+        den, lowest = index(den), index(lowest)
         if den < 1:
             raise ValueError(f"denominator must be >= 1, got {den}")
-        lowest = int(lowest)
-        values = [_exact(c) for c in coeffs]
-        _set(self, "den", int(den))
+        values = [index(c) for c in coeffs]
+        _set(self, "den", den)
         _set(self, "lowest", lowest)
         _set(self, "order", lowest + len(values))
         _set(self, "terms", tuple((lowest + k, c) for k, c in enumerate(values) if c))
@@ -212,7 +187,7 @@ class FracSeries:
         return Fraction(self.order, self.den)
 
     @property
-    def coeffs(self) -> tuple[int | Fraction, ...]:
+    def coeffs(self) -> tuple[int, ...]:
         """Dense coefficients of slots ``lowest .. order-1``."""
         out = [0] * (self.order - self.lowest)
         for p, c in self.terms:
@@ -221,29 +196,28 @@ class FracSeries:
 
     # -- inspection ------------------------------------------------------
 
-    def nonzero_terms(self) -> Iterator[tuple[Fraction, Fraction]]:
+    def nonzero_terms(self) -> Iterator[tuple[Fraction, int]]:
         """Yield (exponent, coefficient) for every nonzero term."""
         for p, c in self.terms:
-            yield Fraction(p, self.den), Fraction(c)
+            yield Fraction(p, self.den), c
 
-    def leading_term(self) -> tuple[Fraction, Fraction] | None:
+    def leading_term(self) -> tuple[Fraction, int] | None:
         """First nonzero (exponent, coefficient), or None for a zero series."""
         return next(self.nonzero_terms(), None)
 
-    def coeff(self, num: int | Fraction, den: int = 1) -> int | Fraction:
-        """Exact coefficient of ``q**(num/den)``, an ``int`` when it is integral.
+    def coeff(self, num: int | Fraction, den: int = 1) -> int:
+        """Exact coefficient of ``q**(num/den)``.
 
-        A ``Fraction`` only when it is not, so never one with denominator 1;
         ``0`` below the truncation bound but off the series' exponent lattice.
         Raises ValueError at or beyond the bound; an unknown coefficient is
         never reported as zero.
         """
         return self.coeff_row(Fraction(num, den), 1)[0]
 
-    def coeff_row(self, start: Fraction | int, count: int) -> tuple[int | Fraction, ...]:
+    def coeff_row(self, start: Fraction | int, count: int) -> tuple[int, ...]:
         """Exact coefficients of ``q**(start + k)``, k = 0 .. count-1, in one pass.
 
-        The same values and types as ``coeff(start + k)`` for each k, and the
+        The same values as ``coeff(start + k)`` for each k, and the
         same ValueError when the last exponent lies at or beyond the bound.
         All zeros when start is off the series' exponent lattice.
         """
@@ -310,32 +284,27 @@ class FracSeries:
             for p, c in terms:
                 if p * f < order:
                     acc[p * f] += c
-        return FracSeries._from_terms(d, lowest, order, _exact_values(acc).items())
+        return FracSeries._from_terms(d, lowest, order, acc.items())
 
     def __neg__(self) -> "FracSeries":
-        return self.scaled(-1)
+        return self * -1
 
     def __sub__(self, other: "FracSeries") -> "FracSeries":
         if not isinstance(other, FracSeries):
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, factor: Fraction | int) -> "FracSeries":
-        """Multiply every coefficient by an exact scalar."""
-        f = _exact(factor)
-        acc = _exact_values({p: c * f for p, c in self.terms})
-        return FracSeries._from_terms(self.den, self.lowest, self.order, acc.items())
-
     def __mul__(self, other):
-        """Product with a scalar, or Cauchy product with a series on the lcm lattice.
+        """Product with an ``int``, or Cauchy product with a series on the lcm lattice.
 
         The product is exact below the first exponent that an unknown
         coefficient of either factor can reach.  No term that cannot land
         below that bound is multiplied or packed, and packed slots past it
-        are discarded.  An integral coefficient of the product is an ``int``.
+        are discarded.  Any other operand raises TypeError.
         """
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
+        if isinstance(other, int):
+            pairs = [(p, c * other) for p, c in self.terms]
+            return FracSeries._from_terms(self.den, self.lowest, self.order, pairs)
         if not isinstance(other, FracSeries):
             return NotImplemented
         d = lcm(self.den, other.den)
@@ -350,8 +319,7 @@ class FracSeries:
         # order_a + lo_b (resp. order_b + lo_a); below that every Cauchy
         # convolution term is made of known coefficients.
         order = min(self.order * fa + lo_b, other.order * fb + lo_a)
-        large = min(len(self.terms), len(tb)) >= _KRONECKER_MIN_TERMS
-        if large and _all_int(self.terms, tb):
+        if min(len(self.terms), len(tb)) >= _KRONECKER_MIN_TERMS:
             acc = _kronecker(_classes(self.terms, fa, d), _classes(tb, 1, d), d, order)
         else:
             acc = defaultdict(int)
@@ -359,7 +327,6 @@ class FracSeries:
                 i *= fa
                 for j, cb in islice(tb, bisect_left(pos_b, order - i)):
                     acc[i + j] += ca * cb
-            acc = _exact_values(acc)
         return FracSeries._from_terms(d, lo_a + lo_b, order, acc.items())
 
     __rmul__ = __mul__
@@ -391,14 +358,18 @@ class FracSeries:
         # every zero slot shares one string: a fine lattice is mostly zeros
         coeffs = ["0/1"] * (self.order - self.lowest)
         for p, c in self.terms:
-            coeffs[p - self.lowest] = f"{c.numerator}/{c.denominator}"
+            coeffs[p - self.lowest] = f"{c}/1"
         return {"denominator": self.den, "lowest": self.lowest, "coeffs": coeffs,
                 "order": self.order}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FracSeries":
-        dense = cls(int(d["denominator"]), int(d["lowest"]), d["coeffs"])
-        order = int(d["order"])
+        """Series from ``to_json_dict`` output; ValueError on a non-integral coefficient."""
+        coeffs = [Fraction(c) for c in d["coeffs"]]
+        if any(c.denominator != 1 for c in coeffs):
+            raise ValueError("series coefficients must be integers")
+        dense = cls(d["denominator"], d["lowest"], [c.numerator for c in coeffs])
+        order = index(d["order"])
         if order < dense.order:
             raise ValueError("order field below the stored coefficient range")
         return cls._from_terms(dense.den, dense.lowest, order, dense.terms)
@@ -421,13 +392,14 @@ class FracSeries:
         return f"<FracSeries {body} exact below q^({self.order_exponent})>"
 
 
-def monomial(c: Fraction | int, num: int, den: int, order_terms: int) -> FracSeries:
+def monomial(c: int, num: int, den: int, order_terms: int) -> FracSeries:
     """Single term ``c * q**(num/den)`` with order_terms retained slots."""
+    c, num, den, order_terms = index(c), index(num), index(den), index(order_terms)
     if den < 1:
         raise ValueError("den must be >= 1")
     if order_terms < 1:
         raise ValueError("order_terms must be >= 1")
-    return FracSeries._from_terms(den, num, num + order_terms, [(num, _exact(c))])
+    return FracSeries._from_terms(den, num, num + order_terms, [(num, c)])
 
 
 def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:

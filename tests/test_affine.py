@@ -44,6 +44,9 @@ def test_osp_module_lists():
     assert [m.r for m in osp_modules(2)] == [1, 3, 5]
     for l in range(1, 6):
         assert len(osp_modules(l)) == l + 1
+    for l in (0, -1, -5):
+        with pytest.raises(ValueError, match="^level must be a positive integer$"):
+            osp_modules(l)
 
 
 def test_label_validation():
@@ -171,6 +174,17 @@ def test_branch_terms_structure():
         BranchTerm(Sl2Label(2, 0), L(2, 3), "even")  # row must be i+1
     with pytest.raises(ValueError):
         BranchTerm(Sl2Label(2, 1), L(2, 3), "even")  # parity mismatch
+
+
+def test_branch_terms_refuse_an_unknown_parity():
+    with pytest.raises(ValueError, match="parity"):
+        branch_terms(2, 1, "bogus")
+    with pytest.raises(ValueError, match="parity"):
+        branch_character(2, 1, "bogus", 3)
+    # every valid parity has a term at every level
+    for l in range(1, 6):
+        for parity in ("even", "odd", "both"):
+            assert branch_terms(l, 1, parity)
 
 
 def test_branch_terms_json():

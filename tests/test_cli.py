@@ -198,11 +198,27 @@ def test_singular_t_outside_its_form_exits_2_at_once(capsys, t):
     ("5/4", 0, '{"alpha": 2, "beta": -1, "t": "5/4", "value": "39/16"}\n', ""),
     ("7/10", 0, '{"alpha": 2, "beta": -1, "t": "7/10", "value": "81/40"}\n', ""),
     ("3/2", 0, '{"alpha": 2, "beta": -1, "t": "3/2", "value": "21/8"}\n', ""),
+    ("-3/2", 0, '{"alpha": 2, "beta": -1, "t": "-3/2", "value": "3/8"}\n', ""),
     ("1/0", 2, "", "error: --t '1/0' is not a rational\n"),
     ("0", 2, "", "error: t must be nonzero\n"),
 ])
 def test_singular_t_in_its_form(capsys, t, code, out, err):
     assert run(capsys, "singular", "--alpha", "2", "--beta", "-1", "--t", t) == (code, out, err)
+
+
+@pytest.mark.parametrize("after", [("--format", "json"), ("-x",), ()])
+def test_singular_t_without_its_value_is_a_usage_error(after):
+    # only a token of the --t form is joined to --t; a flag stays a flag
+    code, out, err = _run_caught(("singular", "--alpha", "2", "--beta", "-1", "--t", *after))
+    assert code == 2 and out == "" and err.startswith("usage: ")
+    assert "argument --t: expected one argument" in err
+
+
+@pytest.mark.parametrize("level", ["-1", "-5"])
+def test_weights_negative_level_exits_2(capsys, level):
+    for fmt in ("json", "text"):
+        assert run(capsys, "weights", "--level", level, "--format", fmt) == (
+            2, "", "error: level must be a positive integer\n")
 
 
 def test_singular_ladder_report(capsys):

@@ -402,7 +402,7 @@ def test_parity_decomposition_over_all_candidates(order):
     model = MinimalModel(10, 7)
     kept = _lattice_candidates(model)
     e, o = (branch_character(1, 1, parity, order) for parity in ("even", "odd"))
-    squares = {"even": e * e + o * o, "odd": (e * o).scaled(2)}
+    squares = {"even": e * e + o * o, "odd": (e * o) * 2}
     systems = {
         parity: ([_coeff_row(branch_character(2, r, parity, order) * model.character(lab, order),
                              order) for r, lab in kept], _coeff_row(square, order))

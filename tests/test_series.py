@@ -8,7 +8,6 @@ from math import comb, gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetchar import series
 from cosetchar.minimal import KacLabel, MinimalModel
 from cosetchar.series import (
     FracSeries,
@@ -30,8 +29,8 @@ def series_from_terms(terms, bound):
 
     The lattice denominator is the lcm of the exponent denominators and the
     bound's, so every term sits on an integer slot; duplicate exponents are
-    summed, an integral coefficient is stored as an int, and ``reduced``
-    moves the result to the coarsest lattice.
+    summed, each sum is stored as an int (ValueError when one is not
+    integral), and ``reduced`` moves the result to the coarsest lattice.
     """
     bound = F(bound)
     kept = [(F(e), F(c)) for e, c in terms if F(e) < bound]
@@ -41,7 +40,9 @@ def series_from_terms(terms, bound):
     for e, c in kept:
         p = e.numerator * (d // e.denominator)
         acc[p] = acc.get(p, 0) + c
-    pairs = [(p, c.numerator if c.denominator == 1 else c) for p, c in acc.items()]
+    if any(c.denominator != 1 for c in acc.values()):
+        raise ValueError("series coefficients must be integers")
+    pairs = [(p, c.numerator) for p, c in acc.items()]
     return FracSeries._from_terms(d, min(acc, default=order), order, pairs).reduced()
 
 
@@ -174,6 +175,50 @@ def test_series_slots_cannot_be_assigned_or_deleted():
                 delattr(s, slot)
         assert (s.den, s.lowest, s.order, s.terms) == before
     assert model.character(KacLabel(1, 1), 5) is cached
+
+
+@pytest.mark.parametrize("bad", [F(1, 2), F(4, 2), 0.5, 2.0, "3", "1/1"])
+def test_non_integer_coefficient_or_scalar_is_refused(bad):
+    s = FracSeries(2, -1, [1, 0, 3])
+    with pytest.raises(TypeError):
+        FracSeries(2, -1, [1, bad])
+    with pytest.raises(TypeError):
+        monomial(bad, 0, 1, 3)
+    with pytest.raises(TypeError):
+        s * bad
+    with pytest.raises(TypeError):
+        bad * s
+    assert s * 2 == 2 * s == FracSeries(2, -1, [2, 0, 6])
+    assert -s == s * -1 == FracSeries(2, -1, [-1, 0, -3])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FracSeries(2.5, 0, [1]),
+    lambda: FracSeries(2, 0.7, [1, 2]),
+    lambda: FracSeries(F(2), 0, [1]),
+    lambda: monomial(1, 0.5, 2, 3),
+    lambda: monomial(1, 1, 2.0, 3),
+    lambda: monomial(1, 1, 2, 3.0),
+    lambda: monomial(1, F(1), 2, 3),
+], ids=["den", "lowest", "den-fraction", "num", "monomial-den", "order_terms", "num-fraction"])
+def test_non_integer_position_is_refused(build):
+    # int() would truncate these, to a different series than asked for
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_json_load_refuses_non_integral_coefficient():
+    blob = {"denominator": 2, "lowest": -1, "coeffs": ["3/1", "1/2"], "order": 1}
+    with pytest.raises(ValueError):
+        FracSeries.from_json_dict(blob)
+    with pytest.raises(ValueError):
+        FracSeries.loads(json.dumps(blob))
+    s = FracSeries.from_json_dict({**blob, "coeffs": ["3/1", "4/2"]})
+    assert s.terms == ((-1, 3), (0, 2)) and all(type(c) is int for _, c in s.terms)
+    # a position field that is not an integer is refused, not truncated
+    for field in ("denominator", "lowest", "order"):
+        with pytest.raises(TypeError):
+            FracSeries.from_json_dict({**blob, "coeffs": ["3/1"], field: 1.5})
 
 
 # --- euler_product ---------------------------------------------------------
@@ -361,13 +406,13 @@ def _coeffs_or_error(s, start, count):
         pos = (F(start) + k) * s.den
         if pos >= s.order:
             return ValueError
-        out.append(F(terms.get(pos.numerator, 0)) if pos.denominator == 1 else F(0))
+        out.append(terms.get(pos.numerator, 0) if pos.denominator == 1 else 0)
     return tuple(out)
 
 
 def test_coeff_row_matches_coeff_on_a_grid():
     dense = theta_null(3, 1, 6) * euler_product(-1, -2, 8)  # den 12, exact below q^6
-    for s in (dense, dense.scaled(F(1, 3)), FracSeries(5, -7, [0, 2, 0, 0, 0, 0, -1])):
+    for s in (dense, dense * -3, FracSeries(5, -7, [0, 2, 0, 0, 0, 0, -1])):
         lo = s.lowest // s.den - 2
         top = s.order // s.den + 2
         for num in range(lo * 60, top * 60):
@@ -382,8 +427,7 @@ def row_request(draw):
     """A series and a (start, count) read, often ending on or just below the bound."""
     den = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 30]))
     lowest = draw(st.integers(-12, 12))
-    entry = st.one_of(st.integers(-5, 5), small_fracs)
-    s = FracSeries(den, lowest, draw(st.lists(entry, min_size=0, max_size=14)))
+    s = FracSeries(den, lowest, draw(st.lists(st.integers(-5, 5), min_size=0, max_size=14)))
     count = draw(st.integers(0, 8))
     back = draw(st.one_of(
         st.sampled_from([0, 1]),  # last exponent exactly on the bound / one step below
@@ -403,8 +447,7 @@ def test_coeff_row_matches_coeff(req):
     s, start, count = req
     row = _coeff_row_or_error(s, start, count)
     assert row == _coeffs_or_error(s, start, count)
-    # an int when integral, a Fraction (never one with denominator 1) otherwise
-    assert row is ValueError or all(type(c) is (int if c.denominator == 1 else F) for c in row)
+    assert row is ValueError or all(type(c) is int for c in row)
 
 
 # --- strict comparison --------------------------------------------------------
@@ -443,7 +486,7 @@ def test_json_load_pads_trailing_zeros():
     s = FracSeries.from_json_dict(
         {"denominator": 2, "lowest": -1, "coeffs": ["3/1"], "order": 4}
     )
-    assert s.coeffs == (F(3), F(0), F(0), F(0), F(0))
+    assert s.coeffs == (3, 0, 0, 0, 0)
     assert s.order == 4
     assert s.coeff(3, 2) == 0
 
@@ -470,11 +513,11 @@ def test_pow_requires_positive_integer():
 
 
 def test_json_schema_shape():
-    d = monomial(F(3, 2), -1, 6, 3).to_json_dict()
+    d = monomial(3, -1, 6, 3).to_json_dict()
     assert d == {
         "denominator": 6,
         "lowest": -1,
-        "coeffs": ["3/2", "0/1", "0/1"],
+        "coeffs": ["3/1", "0/1", "0/1"],
         "order": 2,
     }
     assert json.dumps(d)  # serializable
@@ -482,23 +525,21 @@ def test_json_schema_shape():
 
 # --- algebraic properties (property-based) ----------------------------------
 
-small_fracs = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
-)
+small_ints = st.integers(-4, 4)
 
 
 @st.composite
 def frac_series(draw):
     den = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
     lowest = draw(st.integers(-10, 10))
-    coeffs = draw(st.lists(small_fracs, min_size=0, max_size=10))
+    coeffs = draw(st.lists(small_ints, min_size=0, max_size=10))
     return FracSeries(den, lowest, coeffs)
 
 
 @given(
     den=st.sampled_from([1, 2, 6, 840]),
     lowest=st.integers(-20, 20),
-    coeffs=st.lists(st.one_of(st.just(0), st.integers(-10**30, 10**30), small_fracs),
+    coeffs=st.lists(st.one_of(st.just(0), st.integers(-10**30, 10**30), small_ints),
                     max_size=40),
 )
 @settings(max_examples=100, deadline=None)
@@ -569,6 +610,12 @@ def test_series_from_terms_merges_duplicates():
     s = series_from_terms([(F(1, 2), F(1)), (F(1, 2), F(2)), (F(3), F(-1))], 5)
     assert s.coeff(1, 2) == 3
     assert s.coeff(3) == -1
+
+
+def test_series_from_terms_refuses_non_integral_sums():
+    assert series_from_terms([(0, F(1, 2)), (0, F(1, 2)), (1, 3)], 2).terms == ((0, 1), (1, 3))
+    with pytest.raises(ValueError):
+        series_from_terms([(0, F(1, 2)), (1, 3)], 2)
 
 
 # --- sparse kernel against the dense reference -------------------------------
@@ -714,9 +761,7 @@ def paired_series(draw):
     """The same coefficients as a sparse FracSeries and as a DenseSeries."""
     den = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 30]))
     lowest = draw(st.integers(-12, 12))
-    ints = st.one_of(st.just(0), st.integers(-5, 5))
-    entry = ints if draw(st.booleans()) else st.one_of(ints, small_fracs)
-    coeffs = draw(st.lists(entry, min_size=0, max_size=14))
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.integers(-5, 5)), min_size=0, max_size=14))
     return FracSeries(den, lowest, coeffs), DenseSeries(den, lowest, coeffs)
 
 
@@ -739,53 +784,6 @@ def test_sparse_truncate_matches_dense_reference(a, back):
     assert s.truncate(bound).to_json_dict() == d.truncate(bound).to_json_dict()
 
 
-def test_integer_coefficients_stay_int():
-    s = FracSeries(2, 0, [F(4, 2), 1, 0, F(1, 3)])
-    assert s.terms == ((0, 2), (1, 1), (3, F(1, 3)))
-    assert type(s.terms[0][1]) is int
-    assert all(type(c) is int for _, c in (euler_product(-1, -3, 20) * s.truncate(1)).terms)
-    assert s.coeff(0) == 2 and type(s.coeff(0)) is int
-    assert s.coeff(3, 2) == F(1, 3) and type(s.coeff(3, 2)) is F
-    # arithmetic that makes an integral Fraction stores it as an int
-    thirds = s.scaled(F(1, 3)).scaled(3)
-    assert thirds.coeff(0) == 2 and type(thirds.coeff(0)) is int
-
-
-def _assert_int_terms(s, terms):
-    assert s.terms == terms
-    assert all(type(c) is int for _, c in s.terms), s.terms
-
-
-def test_integral_fraction_results_are_stored_as_int():
-    thirds = FracSeries(1, 0, [F(1, 3), F(2, 3)])
-    _assert_int_terms(thirds.scaled(3), ((0, 1), (1, 2)))
-    _assert_int_terms(thirds.scaled(F(3, 2)).scaled(F(2, 1)), ((0, 1), (1, 2)))
-    _assert_int_terms(thirds + thirds + thirds, ((0, 1), (1, 2)))
-    _assert_int_terms(thirds + FracSeries(1, 0, [F(2, 3), F(1, 3)]), ((0, 1), (1, 1)))
-    _assert_int_terms(thirds * FracSeries(1, 0, [3, 6]), ((0, 1), (1, 4)))
-    _assert_int_terms(thirds * thirds * 9, ((0, 1), (1, 4)))
-    halves = series_from_terms([(0, F(1, 2)), (0, F(1, 2)), (1, 3)], 2)
-    _assert_int_terms(halves, ((0, 1), (1, 3)))
-    # a non-integral result stays a Fraction
-    assert (thirds + thirds).terms == ((0, F(2, 3)), (1, F(4, 3)))
-
-
-def test_normalised_series_takes_the_packed_product(monkeypatch):
-    # once its integral Fractions are ints, a long series multiplies like the
-    # all-int series it equals: packed, to the same terms and bound
-    n = 2 * series._KRONECKER_MIN_TERMS
-    ints = FracSeries(2, -3, [(-1) ** k * (k + 1) for k in range(n)])
-    made = FracSeries(2, -3, [F((-1) ** k * (k + 1), 7) for k in range(n)]).scaled(7)
-    _assert_int_terms(made, ints.terms)
-    packed = []
-    kronecker = series._kronecker
-    monkeypatch.setattr(series, "_kronecker", lambda *a: packed.append(1) or kronecker(*a))
-    square = made * made
-    assert packed == [1]
-    assert square == ints * ints
-    _assert_int_terms(square, (ints * ints).terms)
-
-
 # --- packed (Kronecker) products against the dense reference ----------------
 
 @st.composite
@@ -793,7 +791,7 @@ def long_paired_series(draw):
     """Factors of 30-150 slots: big signed ints, several residue classes, or edge cases."""
     den = draw(st.sampled_from([1, 2, 3, 4, 6, 12, 30]))
     lowest = draw(st.integers(-40, 40))
-    kind = draw(st.sampled_from(["ints"] * 7 + ["fraction", "one", "empty"]))
+    kind = draw(st.sampled_from(["ints"] * 7 + ["one", "empty"]))
     if kind == "empty":
         coeffs = [0] * draw(st.integers(0, 150))
     elif kind == "one":
@@ -807,8 +805,6 @@ def long_paired_series(draw):
             0 if rng.random() < zeros else rng.randint(-top, top)
             for _ in range(rng.randint(30, 150))
         ]
-        if kind == "fraction":
-            coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(small_fracs)
     return FracSeries(den, lowest, coeffs), DenseSeries(den, lowest, coeffs)
 
 
@@ -818,8 +814,7 @@ def test_long_products_match_dense_reference(a, b):
     (sa, da), (sb, db) = a, b
     product = sa * sb
     assert product.to_json_dict() == (da * db).to_json_dict()
-    if all(type(c) is int for s in (sa, sb) for _, c in s.terms):
-        assert all(type(c) is int for _, c in product.terms)
+    assert all(type(c) is int for _, c in product.terms)
 
 
 @pytest.mark.parametrize("length", [63, 127, 255])
