@@ -1,7 +1,7 @@
 """Tour of the exact q-series kernel: Euler products and theta sums.
 
-Everything is an exact rational; a series knows the exponent below which it
-is trustworthy and refuses to answer beyond it.
+Coefficients are exact integers and exponents exact rationals; a series knows
+the exponent below which it is trustworthy and refuses to answer beyond it.
 """
 
 from fractions import Fraction
@@ -35,7 +35,7 @@ for e, c in list(wt.nonzero_terms())[:4]:
 # Series multiply exactly; a prefactor shifts the exponent lattice.
 eta_shift = monomial(1, -1, 24, 600)
 e, c = (theta * eta_shift * euler_product(-1, -1, 24)).leading_term()
-print("theta/eta-style product leading term:", (e, Fraction(c)))
+print(f"theta/eta-style product leading term: {c} * q^({e})")
 
 # Asking beyond the truncation bound is an error, never a silent zero.
 try:

@@ -12,7 +12,8 @@ The osp(1|2) character is a weighted theta sum times prod(1+q^n)^2 over
 q^(1/24) prod(1-q^n)^3; the specialized affine sl2 character is the
 Weyl-Kac numerator sum_m (2(l+2)m + i+1) q^((l+2)(m + (i+1)/(2(l+2)))^2)
 over q^(1/8) prod(1-q^n)^3.  Both are assembled by the cached
-``series._character``, so each distinct character is built once and shared.
+``series._character``, so each distinct character is built once and shared;
+an order that is not an integer raises TypeError before that cache is read.
 The two routes are tied together by the branching identity, which the test
 suite checks coefficientwise.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Literal
 
 from .minimal import KacLabel, MinimalModel
@@ -130,6 +132,7 @@ def osp_character(lab: OspLabel, order: int = 20) -> FracSeries:
     sum_m (2am+r) q^((a/2)(m + r/(2a))^2) * prod(1+q^n)^2
     / (q^(1/24) prod(1-q^n)^3), with a = 2l+3.
     """
+    order = index(order)
     a = 2 * lab.l + 3
     return _character(
         ((1, weighted_theta, (2 * a, lab.r, Fraction(a, 2))),),
@@ -152,6 +155,7 @@ def sl2_weight(lab: Sl2Label) -> Fraction:
 
 def sl2_character(lab: Sl2Label, order: int = 20) -> FracSeries:
     """Specialized character of L(l, i); leading term (i+1) q^(h_i - c/24)."""
+    order = index(order)
     k = lab.l + 2
     return _character(
         ((1, weighted_theta, (2 * k, lab.i + 1, Fraction(k))),),
@@ -195,6 +199,7 @@ def branch_character(l: int, r: int, parity: Parity = "both", order: int = 20) -
     With parity "both" this recomputes the full M_r character along the
     branching route, independently of osp_character's closed form.
     """
+    order = index(order)
     if order < 0:
         raise ValueError("order must be >= 0")
     model = branch_model(l)

@@ -2,16 +2,16 @@
 
 Every command prints deterministic output (JSON, CSV or plain text) built
 from exact rationals; no floats anywhere.  Exit codes: 0 on success or a
-passing verification, 1 when a verification fails, 2 on usage errors.
+passing verification, 1 when a verification fails, 2 on a refused input.
 
 Each subcommand declares only the flags it reads: ``--format`` and
 ``--output`` on all of them, ``--order`` on ``char``, ``verify`` and
 ``singular`` (``verify central-charge`` and ``singular`` direct evaluation
 refuse it).  ``char`` has one parser for its three kinds; ``CHAR_FLAGS``
 says which label flags each kind needs, and a label flag of another kind is
-refused.  An undeclared or abbreviated flag is a usage error too, and so is
-an order outside ``0..MAX_ORDER``, a p or q above ``MAX_PQ`` or a level
-above ``MAX_LEVEL``.
+refused.  argparse refuses an undeclared or abbreviated flag itself; every
+other refusal, a size cap or an unwritable ``--output`` too, is a
+``ValueError`` that ``main`` prints as one ``error:`` line, returning 2.
 
 The grammar is built once per process, when this module is imported, and
 never changes; each ``main`` call parses into a fresh namespace.  The
@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from . import affine, coset, extension
-from .minimal import KacLabel, MinimalModel, kac_table_csv
+from .minimal import KacLabel, MinimalModel
 
 DEFAULT_ORDER = 20
 # size caps: one for the order, one for p and q (the model is symmetric in
@@ -57,10 +57,6 @@ def _join_t(argv: list[str]) -> list[str]:
         else:
             out.append(tok)
     return out
-
-
-class UsageError(Exception):
-    pass
 
 
 def _rat(x: Fraction) -> str:
@@ -141,7 +137,7 @@ def _parse_label(text: str) -> KacLabel:
     try:
         r, s = (int(x) for x in text.split(","))
     except Exception:
-        raise UsageError(f"label {text!r} is not of the form R,S") from None
+        raise ValueError(f"label {text!r} is not of the form R,S") from None
     return KacLabel(r, s)
 
 
@@ -160,23 +156,16 @@ def _series_output(series, fmt: str) -> str:
 
 def cmd_kac_table(args) -> tuple[str, int]:
     model = MinimalModel(args.p, args.q)
-    if args.format == "csv":
-        return kac_table_csv(model), 0
-    table = model.kac_table()
+    rows = [[_rat(w) for w in row] for row in model.kac_table()]
     if args.format == "json":
-        payload = {
-            "p": model.p,
-            "q": model.q,
-            "central_charge": _rat(model.central_charge()),
-            "rows": [[_rat(w) for w in row] for row in table],
-        }
-        return json.dumps(payload), 0
-    width = max(len(_rat(w)) for row in table for w in row)
-    lines = []
-    for r, row in enumerate(table, start=1):
-        cells = " ".join(_rat(w).rjust(width) for w in row)
-        lines.append(f"r={r}: {cells}")
-    return "\n".join(lines) + "\n", 0
+        return json.dumps({"p": model.p, "q": model.q,
+                           "central_charge": _rat(model.central_charge()), "rows": rows}), 0
+    if args.format == "csv":
+        return "\n".join(",".join(row) for row in rows), 0
+    width = max(len(w) for row in rows for w in row)
+    lines = [f"r={r}: " + " ".join(w.rjust(width) for w in row)
+             for r, row in enumerate(rows, start=1)]
+    return "\n".join(lines), 0
 
 
 def cmd_char(args) -> tuple[str, int]:
@@ -184,10 +173,10 @@ def cmd_char(args) -> tuple[str, int]:
     given = {f: getattr(args, f) for flags in CHAR_FLAGS.values() for f in flags}
     for flag, value in given.items():
         if value is not None and flag not in wanted:
-            raise UsageError(f"char {args.kind} does not read --{flag}")
+            raise ValueError(f"char {args.kind} does not read --{flag}")
     values = [given[f] for f in wanted]
     if None in values:
-        raise UsageError(f"char {args.kind} needs " + " ".join(f"--{f}" for f in wanted))
+        raise ValueError(f"char {args.kind} needs " + " ".join(f"--{f}" for f in wanted))
     if args.kind == "vir":
         p, q, r, s = values
         series = MinimalModel(p, q).character(KacLabel(r, s), order)
@@ -205,17 +194,17 @@ def _parse_perturb(text: str) -> tuple[int, int, int]:
     try:
         row, col, delta = (int(x) for x in text.split(":"))
     except Exception:
-        raise UsageError(f"--perturb {text!r} is not ROW:COL:DELTA") from None
+        raise ValueError(f"--perturb {text!r} is not ROW:COL:DELTA") from None
     return row, col, delta
 
 
 def cmd_verify(args) -> tuple[str, int]:
     perturb = _parse_perturb(args.perturb) if args.perturb else None
     if perturb and args.which not in ("decomposition", "all"):
-        raise UsageError("--perturb only applies to the decomposition check")
+        raise ValueError("--perturb only applies to the decomposition check")
     if args.which == "central-charge":
         if args.order_given:
-            raise UsageError("verify central-charge does not read --order")
+            raise ValueError("verify central-charge does not read --order")
         reports = [coset.verify_central_charge()]
     elif args.which == "decomposition":
         reports = [coset.verify_decomposition(args.order, perturb)]
@@ -264,12 +253,12 @@ def _reports_output(reports, fmt: str, candidates: bool = False) -> tuple[str, i
 def cmd_fusion(args) -> tuple[str, int]:
     if args.scope == "vir":
         if args.p is None or args.q is None:
-            raise UsageError("fusion vir needs positional P Q")
+            raise ValueError("fusion vir needs positional P Q")
         model = MinimalModel(args.p, args.q)
         fuse, labels, make = model.fuse, model.canonical_labels, KacLabel
     else:
         if args.p is not None or args.q is not None:
-            raise UsageError("fusion ext takes no positional P Q")
+            raise ValueError("fusion ext takes no positional P Q")
         fuse, labels, make = extension.ext_fuse, extension.ext_irreducibles, extension.ext_label
     if args.table:
         pairs = itertools.product(labels(), repeat=2)
@@ -277,7 +266,7 @@ def cmd_fusion(args) -> tuple[str, int]:
         la, lb = _parse_label(args.a), _parse_label(args.b)
         pairs = [(make(*la), make(*lb))]
     else:
-        raise UsageError(f"fusion {args.scope} needs --a and --b (or --table)")
+        raise ValueError(f"fusion {args.scope} needs --a and --b (or --table)")
     return _fusion_output(extension.fusion_entries(fuse, pairs), args.format), 0
 
 
@@ -376,17 +365,17 @@ def cmd_weights(args) -> tuple[str, int]:
 def cmd_singular(args) -> tuple[str, int]:
     if args.t is not None or args.alpha is not None or args.beta is not None:
         if None in (args.alpha, args.beta, args.t):
-            raise UsageError("direct evaluation needs --alpha, --beta and --t")
+            raise ValueError("direct evaluation needs --alpha, --beta and --t")
         if args.order_given:
-            raise UsageError("direct evaluation does not read --order")
+            raise ValueError("direct evaluation does not read --order")
         if not T_FORM.fullmatch(args.t):
-            raise UsageError(f"--t {args.t!r} is not an integer or NUM/DEN")
+            raise ValueError(f"--t {args.t!r} is not an integer or NUM/DEN")
         try:
             t = Fraction(args.t)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--t {args.t!r} is not a rational") from None
+        except ZeroDivisionError:  # T_FORM admits only a zero denominator
+            raise ValueError(f"--t {args.t!r} is not a rational") from None
         if args.format == "csv":
-            raise UsageError("direct evaluation has no csv form; use --format json or text")
+            raise ValueError("direct evaluation has no csv form; use --format json or text")
         value = affine.h_alpha_beta(args.alpha, args.beta, t)
         if args.format == "json":
             return json.dumps({"alpha": args.alpha, "beta": args.beta,
@@ -400,31 +389,28 @@ def main(argv=None) -> int:
     ns = vars(args)  # --order is absent unless given; note whether, then default
     args.order_given = "order" in ns
     order = ns.setdefault("order", DEFAULT_ORDER)
-    if order < 0 or order > MAX_ORDER:
-        print(f"error: order must lie in 0..{MAX_ORDER}", file=sys.stderr)
-        return 2
-    for name, top in (("p", MAX_PQ), ("q", MAX_PQ), ("level", MAX_LEVEL)):
-        if (ns.get(name) or 0) > top:
-            print(f"error: {name} must not exceed {top}", file=sys.stderr)
-            return 2
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        if order < 0 or order > MAX_ORDER:
+            raise ValueError(f"order must lie in 0..{MAX_ORDER}")
+        for name, top in (("p", MAX_PQ), ("q", MAX_PQ), ("level", MAX_LEVEL)):
+            if (ns.get(name) or 0) > top:
+                raise ValueError(f"{name} must not exceed {top}")
         text, code = handler(args)
-    except (UsageError, ValueError) as exc:
+        if not text.endswith("\n"):
+            text += "\n"
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                path = args.output or "''"
+                raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.output is not None:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            path = args.output or "''"
-            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -22,7 +22,8 @@ column sums and comparisons are ``int``s, as ``coeff_row`` returns them.
 One sum rule compares the column sums of product rows with a target row: the
 decomposition applies it after any perturbation, the parity refinement to
 each parity, and the singular ladder reads the unperturbed comparisons at
-the columns of its candidates.
+the columns of its candidates.  An order that is not an integer raises
+TypeError before the cached table is read.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from .affine import (
     OspLabel,
@@ -210,6 +212,7 @@ def verify_decomposition(
     summing; it exists so that the failure path stays honest and testable.
     A position outside the 6 x (order+1) summand table raises ValueError.
     """
+    order = index(order)
     *products, (target_name, target) = _summand_series(order)
     notes = ()
     if perturb is not None:
@@ -283,6 +286,7 @@ def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationRep
     identity sum(products) = refined target, and the recombination
     even + odd = unrefined column, row by row.
     """
+    order = index(order)
     if not 0 <= order <= MAX_REFINEMENT_ORDER:
         raise ValueError(f"order must lie in 0..{MAX_REFINEMENT_ORDER}")
     reference = {**_EVEN_REFERENCE, **_ODD_REFERENCE}
@@ -319,6 +323,7 @@ def singular_ladder(order: int = 20) -> VerificationReport:
     would break the exact match at its column).  Candidates beyond the table
     are reported as out of range, not silently passed.
     """
+    order = index(order)
     *products, (_, target) = _summand_series(order)
     _, columns = _sum_rule(products, target, order)
     rows: list[tuple[str, tuple[Fraction, ...]]] = []

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import index
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .series import FracSeries, _character, theta_null
 
-__all__ = ["KacLabel", "MinimalModel", "ModuleSum", "kac_table_csv"]
+__all__ = ["KacLabel", "MinimalModel", "ModuleSum"]
 
 
 class KacLabel(NamedTuple):
@@ -189,6 +190,7 @@ class MinimalModel:
         exponent ``h - c/24 + order``.  Built once per distinct (model, label,
         order) by the cached ``series._character`` and shared by every caller.
         """
+        order = index(order)
         r, s = self._check(label)
         p, q = self.p, self.q
         return _character(
@@ -211,11 +213,3 @@ def _fuse(p, q, t1, t2) -> ModuleSum:
             for s in range(abs(s1 - s2) + 1, min(s1 + s2, 2 * p - s1 - s2), 2)
         }
     )
-
-
-def kac_table_csv(model: MinimalModel) -> str:
-    """Grid of exact num/den strings, rows r = 1..q-1, columns s = 1..p-1."""
-    lines = []
-    for row in model.kac_table():
-        lines.append(",".join(f"{w.numerator}/{w.denominator}" for w in row))
-    return "\n".join(lines) + "\n"

@@ -35,7 +35,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd, isqrt, lcm
+from math import ceil, gcd, isqrt, lcm
 from operator import add, index, mul
 from typing import Iterable, Iterator
 
@@ -47,12 +47,6 @@ __all__ = [
     "weighted_theta",
     "equal_through",
 ]
-
-
-def _ceil(x: Fraction | int) -> int:
-    """Exact ceiling of a rational."""
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 # A product runs the pair loop while its smaller factor has fewer nonzero
@@ -266,7 +260,7 @@ class FracSeries:
         b = Fraction(bound)
         if b > self.order_exponent:
             raise ValueError("cannot truncate beyond the exactness bound")
-        order = _ceil(b * self.den)
+        order = ceil(b * self.den)
         keep = self.terms[: bisect_left(self.terms, (order,))]
         return FracSeries._from_terms(self.den, min(self.lowest, order), order, keep)
 
@@ -407,8 +401,10 @@ def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
 
     sign is +1 or -1.  Factors beyond N only touch exponents > N, so the
     retained coefficients 0..N are the coefficients of the full infinite
-    product.  They come from the recurrence in ``_euler``.
+    product.  They come from the recurrence in ``_euler``.  A sign, exponent
+    or N that is not an integer raises TypeError.
     """
+    sign, exponent, n_terms = index(sign), index(exponent), index(n_terms)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if n_terms < 1:
@@ -460,7 +456,7 @@ def _theta(
     den = lcm(scale.denominator, order.denominator)
     u = scale.numerator * (den // scale.denominator)
     stop = order.numerator * (den // order.denominator)
-    top = isqrt(_ceil(order / scale))
+    top = isqrt(ceil(order / scale))
     acc = defaultdict(int)
     for n in range(-top + (residue + top) % modulus, top + 1, modulus):
         if (p := u * n * n) < stop:
@@ -548,7 +544,7 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    bound = _ceil(target + Fraction(1, eta_den)) + 2
+    bound = ceil(target + Fraction(1, eta_den)) + 2
     thetas = [(sign, theta(*args, bound)) for sign, theta, args in numerator]
     d = lcm(eta_den, *(s.den for _, s in thetas))
     acc = defaultdict(int)

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 
@@ -26,7 +26,7 @@ from cosetchar.affine import (
 )
 from cosetchar.cli import MAX_PQ
 from cosetchar.minimal import KacLabel, MinimalModel
-from cosetchar.series import FracSeries, _ceil, _euler, equal_through, monomial
+from cosetchar.series import FracSeries, _euler, equal_through, monomial
 
 F = Fraction
 L = KacLabel
@@ -266,7 +266,7 @@ def _monomial_route(numerator, euler_parts, eta_den, target, order):
     is multiplied by the ``_euler`` row as a series and then by the monomial
     q^(-1/eta_den), each through ``FracSeries.__mul__``.
     """
-    bound = _ceil(target + F(1, eta_den)) + 2
+    bound = ceil(target + F(1, eta_den)) + 2
     num = None
     for sign, theta, args in numerator:
         term = theta(*args, bound) * sign

@@ -300,6 +300,14 @@ def test_empty_output_path_is_usage_error(capsys):
     assert err.startswith("error: cannot write ''") and err.count("\n") == 1
 
 
+def test_output_path_that_open_refuses_exits_2(capsys):
+    # open() raises ValueError, not OSError, on an embedded null byte
+    code, out, err = run(capsys, "classify", "--output", "bad\0path")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flags", [("--order", "37"), ("--order", "200"),
                                    ("--order", "0"), ("--order=20",)])
 def test_verify_central_charge_refuses_order_flags(capsys, flags):

@@ -3,6 +3,7 @@ import io
 import json
 from fractions import Fraction
 from hashlib import sha256
+from math import ceil
 
 import pytest
 
@@ -30,7 +31,7 @@ from cosetchar.affine import (
 from cosetchar import affine, minimal, series
 from cosetchar.cli import MAX_ORDER, main
 from cosetchar.minimal import MinimalModel
-from cosetchar.series import _ceil, euler_product, monomial, theta_null, weighted_theta
+from cosetchar.series import euler_product, monomial, theta_null, weighted_theta
 
 F = Fraction
 
@@ -102,7 +103,7 @@ def test_decomposition_passes_at_every_order_up_to_30():
 
 def _separate_factor_character(numerator, euler_parts, eta_den, target, order):
     """Theta numerator times one euler_product per factor, then q^(-1/eta_den)."""
-    out = numerator(_ceil(target + F(1, eta_den)) + 2)
+    out = numerator(ceil(target + F(1, eta_den)) + 2)
     for sign, e in euler_parts:
         out = out * euler_product(sign, e, order + 2)
     span = out.order - out.lowest
@@ -450,3 +451,36 @@ def test_run_all_outputs_are_pinned(order, perturbed):
              f"exit {code}\n{out.getvalue()}{err.getvalue()}")
     digests = tuple(sha256(f.encode()).hexdigest()[:16] for f in forms)
     assert digests == RUN_ALL_SHA256[order, perturbed]
+
+
+# every public function that takes an order, called at a small order
+ORDER_TAKERS = {
+    "vir": lambda order: MinimalModel(10, 7).character(minimal.KacLabel(1, 1), order),
+    "osp": lambda order: osp_character(OspLabel(1, 1), order),
+    "sl2": lambda order: affine.sl2_character(affine.Sl2Label(1, 0), order),
+    "branch": lambda order: branch_character(1, 1, "even", order),
+    "decomposition": verify_decomposition,
+    "even-refinement": verify_even_refinement,
+    "singular-ladder": singular_ladder,
+}
+
+
+@pytest.mark.parametrize("bad", [3.0, F(3), "3"], ids=repr)
+@pytest.mark.parametrize("name", sorted(ORDER_TAKERS))
+def test_non_integer_order_is_refused_cold_and_warm(name, bad):
+    # 3.0 and Fraction(3) hash like 3, so a cache filled by the int call
+    # would answer them if the order were not checked before it is read
+    call = ORDER_TAKERS[name]
+    for cache in (series._character, series._euler, _summand_series):
+        cache.cache_clear()
+    with pytest.raises(TypeError):
+        call(bad)
+    call(3)
+    with pytest.raises(TypeError):
+        call(bad)
+
+
+def test_bool_order_is_stored_as_int():
+    report = verify_decomposition(True)
+    assert type(report.order) is int and report.order == 1
+    assert '"order": 1,' in report.dumps()

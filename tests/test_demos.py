@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # SHA-256 of each demo's stdout; a change to any printed byte must update it here
 DEMO_STDOUT_SHA256 = {
-    "01_series_basics.py": "92c3235e93dc9b289466f10ed08d99c7c350544d5e4d35622279be4812354b20",
+    "01_series_basics.py": "877c622266e7544f78c378a41517d7fe7e6b33f214e4fe38f16dff1102820fdf",
     "02_kac_tables.py": "a08c3f830894ea2b31f0fe970752b42199b6554227b457feb47450e4e9a1b2da",
     "03_coset_decomposition.py": "b604c2f3b9fa8748bebf25ada824f9c84cd60b9ffe6a0257873b2954f46899d0",
     "04_branching.py": "dd42828dd6b4c5c23ac13968e5c7b72e88a4321e4b4e593533e8bd26e14cf740",

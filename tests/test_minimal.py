@@ -7,8 +7,8 @@ from math import gcd
 import pytest
 
 from cosetchar import extension, minimal
-from cosetchar.cli import MAX_PQ
-from cosetchar.minimal import KacLabel, MinimalModel, ModuleSum, kac_table_csv
+from cosetchar.cli import MAX_PQ, main
+from cosetchar.minimal import KacLabel, MinimalModel, ModuleSum
 from cosetchar.series import equal_through
 
 F = Fraction
@@ -441,9 +441,9 @@ def test_kac_label_sorts_by_r_then_s_and_prints_pair():
     assert [str(lab) for lab in sorted(labels)] == ["(1,2)", "(1,9)", "(2,1)", "(3,5)"]
 
 
-def test_csv_export():
-    text = kac_table_csv(M107)
-    lines = text.strip().split("\n")
+def test_csv_export(capsys):
+    assert main(["kac-table", "10", "7", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 6
     assert lines[0].split(",")[0] == "0/1"
     assert lines[0].split(",")[1] == "1/40"

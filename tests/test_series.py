@@ -242,6 +242,27 @@ def test_euler_product_pentagonal_signs():
     assert expected[:13] == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
 
 
+@pytest.mark.parametrize("kind", [float, F, str])
+@pytest.mark.parametrize("position", range(3))
+def test_euler_product_refuses_non_integer_arguments(position, kind):
+    # 3.0 and Fraction(3) hash like 3: checked before the cached recurrence
+    # is read, cold and after the same call with ints
+    args = [-1, 3, 4]
+    bad = [*args[:position], kind(args[position]), *args[position + 1 :]]
+    _euler.cache_clear()
+    with pytest.raises(TypeError):
+        euler_product(*bad)
+    euler_product(*args)
+    with pytest.raises(TypeError):
+        euler_product(*bad)
+
+
+@pytest.mark.parametrize("exponent", [0.5, F(1, 2)], ids=repr)
+def test_euler_product_refuses_a_fractional_exponent(exponent):
+    with pytest.raises(TypeError):
+        euler_product(-1, exponent, 4)
+
+
 def test_euler_product_negative_cube():
     s = euler_product(-1, -3, 12)
     inv = euler_product(-1, 1, 12) ** 3
