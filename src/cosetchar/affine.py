@@ -126,7 +126,7 @@ def osp_weight(l: int, r: int) -> Fraction:
 
 
 def osp_character(lab: OspLabel, order: int = 20) -> FracSeries:
-    """Character of M_r, exact at least through q^(h - c/24 + order).
+    """Character of M_r, exact through q^(h - c/24 + order), and no further.
 
     Weighted theta sum over the super denominator:
     sum_m (2am+r) q^((a/2)(m + r/(2a))^2) * prod(1+q^n)^2
@@ -200,11 +200,9 @@ def branch_character(l: int, r: int, parity: Parity = "both", order: int = 20) -
     branching route, independently of osp_character's closed form.
     """
     order = index(order)
-    if order < 0:
-        raise ValueError("order must be >= 0")
     model = branch_model(l)
     # every parity has a term at every level: i = 0 is even, i = 1 odd
-    pieces = [sl2_character(term.sl2, order + 1) * model.character(term.vir, order + 1)
+    pieces = [sl2_character(term.sl2, order) * model.character(term.vir, order)
               for term in branch_terms(l, r, parity)]
     total = sum(pieces[1:], pieces[0])
     target = osp_weight(l, r) - osp_central_charge(l) / 24 + order

@@ -184,9 +184,6 @@ def cmd_char(args) -> tuple[str, int]:
         series = affine.osp_character(affine.OspLabel(*values), order)
     else:
         series = affine.sl2_character(affine.Sl2Label(*values), order)
-    # internal margins may have carried the series further; show the window asked for
-    top = series.leading_term()[0] + order
-    series = series.truncate(Fraction(int(top * series.den) + 1, series.den))
     return _series_output(series, args.format), 0
 
 

@@ -210,13 +210,15 @@ def verify_decomposition(
     Columns are the coefficients of q^(-1/30 + k), k = 0..order.  perturb,
     when given as (row, column, delta), shifts one summand coefficient before
     summing; it exists so that the failure path stays honest and testable.
-    A position outside the 6 x (order+1) summand table raises ValueError.
+    A position outside the 6 x (order+1) summand table raises ValueError, a
+    non-integer row, column or delta TypeError (before the table is built).
     """
     order = index(order)
+    if perturb is not None:
+        row, col, delta = map(index, perturb)
     *products, (target_name, target) = _summand_series(order)
     notes = ()
     if perturb is not None:
-        row, col, delta = perturb
         if not (0 <= row < len(products) and 0 <= col <= order):
             raise ValueError(
                 f"perturb position {row}:{col} lies outside the "

@@ -65,10 +65,14 @@ def simple_current_image(label: KacLabel) -> KacLabel:
 
 @dataclass(frozen=True, order=True)
 class ExtLabel:
-    """Extended module V(r,s) + V(7-r,s); presented with 1 <= r <= 3."""
+    """Extended module V(r,s) + V(7-r,s), presented with r in 1..3 and s in 1..9."""
 
     r: int
     s: int
+
+    def __post_init__(self):
+        if not (1 <= self.r <= 3 and 1 <= self.s <= 9):
+            raise ValueError(f"{self} is not an irreducible extended label")
 
     @cached_property
     def constituents(self) -> tuple[KacLabel, KacLabel]:
@@ -146,8 +150,6 @@ def ext_fuse(
     for lab, index in ((a, constituent_a), (b, constituent_b)):
         if index not in (0, 1):
             raise ValueError(f"constituent index must be 0 or 1, got {index!r}")
-        if not (1 <= lab.r <= 3 and 1 <= lab.s <= 9):
-            raise ValueError(f"{lab} is not an irreducible extended label")
         pair = lab.constituents
         if pair[0] == pair[1]:
             warnings.warn(

@@ -186,9 +186,9 @@ class MinimalModel:
     def character(self, label: KacLabel, order: int = 20) -> FracSeries:
         """Graded dimension series ``Tr q^(L0 - c/24)`` of the irreducible module.
 
-        Theta-difference over eta (Rocha-Caridi): exact at least through the
-        exponent ``h - c/24 + order``.  Built once per distinct (model, label,
-        order) by the cached ``series._character`` and shared by every caller.
+        Theta-difference over eta (Rocha-Caridi): exact through h - c/24 +
+        order, and no further.  Built once per distinct (model, label, order)
+        by the cached ``series._character`` and shared by every caller.
         """
         order = index(order)
         r, s = self._check(label)

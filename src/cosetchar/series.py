@@ -19,10 +19,10 @@ linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)`` (built on integer
 positions), and the private assembly ``_character`` that the minimal and
 affine characters share: theta numerator times one combined Euler factor (one
 cached ``_euler`` recurrence, which returns a dense row of ints), shifted by
-``q^(-1/24)`` or ``q^(-1/8)``, exact through the requested order.  It runs in
-one integer pass, each theta term shifting and adding the Euler row, and is
-cached per argument set, so a command builds each character once.  ``==`` is strict: two series are equal only
-with the same exactness bound and the same nonzero terms.
+``q^(-1/24)`` or ``q^(-1/8)``, exact through h - c/24 + order and no further.
+It runs in one integer pass, each theta term shifting and adding the Euler
+row, and is cached per argument set, so a command builds each character once.
+``==`` is strict: equal series have the same exactness bound and nonzero terms.
 :func:`equal_through` compares two series of any bounds through a given
 exponent, which both must know.
 """
@@ -35,7 +35,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import ceil, gcd, isqrt, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 from operator import add, index, mul
 from typing import Iterable, Iterator
 
@@ -254,15 +254,6 @@ class FracSeries:
         hi = self.order // d
         pairs = ((p // d, c) for p, c in self.terms)
         return FracSeries._from_terms(self.den // d, -(-self.lowest // d), hi, pairs)
-
-    def truncate(self, bound: Fraction | int) -> "FracSeries":
-        """Drop knowledge at exponents >= bound (bound must not exceed order)."""
-        b = Fraction(bound)
-        if b > self.order_exponent:
-            raise ValueError("cannot truncate beyond the exactness bound")
-        order = ceil(b * self.den)
-        keep = self.terms[: bisect_left(self.terms, (order,))]
-        return FracSeries._from_terms(self.den, min(self.lowest, order), order, keep)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -514,19 +505,18 @@ def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
 
 @lru_cache(maxsize=128)
 def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: int) -> FracSeries:
-    """Graded dimension ``theta * prod (1 +- q^n)^e / q^(1/eta_den)``, exact past target.
+    """Graded dimension ``theta * prod (1 +- q^n)^e / q^(1/eta_den)``, exact through target.
 
     ``numerator`` is a tuple of ``(sign, theta, args)``: the theta numerator is
     the sum of ``sign * theta(*args, bound)``, each built by ``theta_null`` or
-    ``weighted_theta``.  ``euler_parts`` lists the ``(sign, e)`` of every Euler
-    factor; all of them come as one dense row from one ``_euler`` recurrence,
-    kept through q^(order+2) and shared by every character with the same parts
-    and order.  ``target`` is the inclusive exponent the caller needs exact;
-    falling short of it is a bookkeeping error.  The theta bound is the shifted
-    target rounded up, plus a margin of 2: when ``target + 1/eta_den`` is an
-    integer (sl2 L(7,5), for one) a margin of 0 would leave the character
-    exact only below target.  The margin stays at 2 because it sets every
-    character's ``order``, which the Python API exposes.
+    ``weighted_theta`` to the least integer above ``target + 1/eta_den``.
+    ``euler_parts`` lists the ``(sign, e)`` of every Euler factor; all of them
+    come as one dense row from one ``_euler`` recurrence, kept through q^order
+    and shared by every character with the same parts and order.  ``target``
+    is the caller's h - c/24 + order: the result is exact through it and no
+    further (``order_exponent == target + 1/den``).  A target that is not
+    exactly ``order`` levels above the theta sum's leading term raises
+    RuntimeError, so every build checks the caller's weight formula.
 
     Everything happens on the lattice ``d = lcm`` of eta_den and the theta
     denominators, in integers.  The Euler row has integer exponents, so the
@@ -534,17 +524,15 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
     theta term adds its multiple of the Euler row into one dense row (shift
     and add).  ``q^(-1/eta_den)`` moves every position, ``lowest`` and
     ``order`` down by ``d/eta_den`` in the same pass.  The result has the same
-    den, lowest, order and terms as the product of the theta numerator, the
-    Euler series and a monomial q^(-1/eta_den): exact below the first
-    exponent an unknown coefficient of either factor reaches.
+    den, lowest and terms as the product of the theta numerator, the Euler
+    series and a monomial q^(-1/eta_den), cut after target.
 
-    Cached per argument set (a module-level ``lru_cache``), so a command that
-    asks for the same character twice builds it once; the series is
-    immutable, so every caller may share it.
+    Cached per argument set (a module-level ``lru_cache``), so a command
+    builds each character once and every caller shares the immutable series.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    bound = ceil(target + Fraction(1, eta_den)) + 2
+    bound = floor(target + Fraction(1, eta_den)) + 1
     thetas = [(sign, theta(*args, bound)) for sign, theta, args in numerator]
     d = lcm(eta_den, *(s.den for _, s in thetas))
     acc = defaultdict(int)
@@ -554,10 +542,11 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
             acc[p * f] += sign * c
     terms = sorted((p, c) for p, c in acc.items() if c)
     lo = terms[0][0]
-    # the Euler row is exact below q^(order+3)
-    stop = min(bound * d, (order + 3) * d + lo)
-    euler = _euler(euler_parts, order + 2)
     shift = d // eta_den
+    stop = floor(target * d) + shift + 1
+    if stop != lo + order * d + 1 or stop > bound * d:
+        raise RuntimeError("internal truncation bookkeeping error")
+    euler = _euler(euler_parts, order)
     pairs = []
     for r, row_terms in _classes(terms, 1, d):
         k0 = row_terms[0][0]
@@ -566,7 +555,4 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
             row[k - k0 :] = map(add, row[k - k0 :], map(c.__mul__, euler))
         base = r + d * k0 - shift
         pairs += [(base + d * i, c) for i, c in enumerate(row)]
-    out = FracSeries._from_terms(d, lo - shift, stop - shift, pairs)
-    if out.order_exponent <= target:
-        raise RuntimeError("internal truncation bookkeeping error")
-    return out
+    return FracSeries._from_terms(d, lo - shift, stop - shift, pairs)

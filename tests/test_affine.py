@@ -1,10 +1,10 @@
 import json
 from fractions import Fraction
-from math import ceil, gcd
+from math import floor, gcd
 
 import pytest
 
-from cosetchar import affine, minimal
+from cosetchar import affine, minimal, series
 from cosetchar.affine import (
     BranchTerm,
     OspLabel,
@@ -96,7 +96,7 @@ def test_sl2_level_one_vacuum_graded_dims():
 def test_sl2_character_exact_at_target_when_shifted_target_is_integral():
     # L(7,5): target + 1/8 = n + 1, so a theta numerator cut at the shifted
     # target itself would leave the character exact only below target; the
-    # margin in the theta bound must be at least 1
+    # theta bound is the least integer above it
     lab = Sl2Label(7, 5)
     deep = sl2_character(lab, 12)
     for n in range(8):
@@ -264,16 +264,19 @@ def _monomial_route(numerator, euler_parts, eta_den, target, order):
 
     The theta numerator is a series summed from the public theta functions; it
     is multiplied by the ``_euler`` row as a series and then by the monomial
-    q^(-1/eta_den), each through ``FracSeries.__mul__``.
+    q^(-1/eta_den), each through ``FracSeries.__mul__``.  The product knows
+    at least as much as the character claims; it is cut after target.
     """
-    bound = ceil(target + F(1, eta_den)) + 2
+    bound = floor(target + F(1, eta_den)) + 1
     num = None
     for sign, theta, args in numerator:
         term = theta(*args, bound) * sign
         num = term if num is None else num + term
-    out = num * FracSeries(1, 0, _euler(euler_parts, order + 2))
+    out = num * FracSeries(1, 0, _euler(euler_parts, order))
     span = out.order - out.lowest
-    return out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
+    out = out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
+    cut = floor(target * out.den) + 1
+    return FracSeries(out.den, out.lowest, out.coeffs[: cut - out.lowest])
 
 
 def _characters():
@@ -312,3 +315,40 @@ def test_character_shift_equals_monomial_route(monkeypatch):
     assert len(shifted) == len(multiplied) == 3992 + 3022
     for (name, got), (_, want) in zip(shifted, multiplied):
         assert got == want, name
+
+
+def test_character_is_exact_through_its_window_and_no_further():
+    # each character claims exactly h - c/24 + order: one lattice step past
+    # it, and so the next whole level, is unknown
+    for name, s in _characters():
+        order = int(name.split()[-1])
+        top = s.leading_term()[0] + order
+        assert s.order_exponent == top + F(1, s.den), name
+        s.coeff(top)
+        with pytest.raises(ValueError):
+            s.coeff(top + 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda order: MinimalModel(10, 7).character(L(6, 1), order),
+    lambda order: osp_character(OspLabel(2, 3), order),
+    lambda order: sl2_character(Sl2Label(7, 5), order),
+], ids=["vir", "osp", "sl2"])
+@pytest.mark.parametrize("steps, levels", [(0, 1), (0, -1), (1, 0), (-1, 0)],
+                         ids=["level-up", "level-down", "step-up", "step-down"])
+def test_character_refuses_a_target_off_the_theta_route(monkeypatch, build, steps, levels):
+    # the caller's h - c/24 + order must sit exactly order levels above the
+    # theta sum's leading term; one level or one lattice step off is refused
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return series._character(*args, **kwargs)
+
+    monkeypatch.setattr(minimal, "_character", recording)
+    monkeypatch.setattr(affine, "_character", recording)
+    good = build(4)
+    args, kwargs = calls[0]
+    kwargs = {**kwargs, "target": kwargs["target"] + levels + F(steps, good.den)}
+    with pytest.raises(RuntimeError, match="bookkeeping"):
+        series._character(*args, **kwargs)

@@ -199,6 +199,16 @@ def test_perturbation_leaves_the_shared_table_intact():
         assert [r.passed for r in reports] == [True, False, True, True]
 
 
+@pytest.mark.parametrize("perturb", [(0, 0, 2.0), (0, 0, F(1, 2)), (0.0, 0, 1)],
+                         ids=["float-delta", "fraction-delta", "float-row"])
+@pytest.mark.parametrize("check", [verify_decomposition, run_all])
+def test_non_integer_perturbation_is_refused_before_the_table(check, perturb):
+    _summand_series.cache_clear()
+    with pytest.raises(TypeError):
+        check(3, perturb)
+    assert _summand_series.cache_info().misses == 0
+
+
 def test_ladder_comparisons_are_decomposition_columns():
     for order in range(41):
         columns = {c.exponent: c for c in verify_decomposition(order).comparisons}
@@ -302,14 +312,15 @@ def test_each_character_is_built_once_per_command(monkeypatch):
 
 
 def test_char_command_leaves_the_cached_character_unchanged():
-    # char truncates to the window asked for; the shared series keeps its bound
+    # char prints the cached character as built, exact through the window
+    # asked for, and leaves it as it was
     model, label = MinimalModel(10, 7), minimal.KacLabel(6, 1)
     cached = model.character(label, 12)
     before = (cached.den, cached.lowest, cached.order, cached.terms)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["char", "vir", "--p", "10", "--q", "7", "--r", "6", "--s", "1",
                      "--order", "12"]) == 0
-    assert json.loads(out.getvalue())["order"] < cached.order
+    assert json.loads(out.getvalue())["order"] == cached.order
     assert model.character(label, 12) is cached
     assert (cached.den, cached.lowest, cached.order, cached.terms) == before
 

@@ -91,6 +91,16 @@ def test_r_presentation_normalization():
         ext_label(2, 10)
 
 
+@pytest.mark.parametrize("r, s", [(9, 9), (0, 0), (4, 1), (0, 5), (1, 0), (2, 10), (-1, 3)])
+def test_ext_label_refuses_a_label_outside_the_presented_range(r, s):
+    # the presented labels are r in 1..3, s in 1..9; the 7-r presentation
+    # goes through ext_label
+    with pytest.raises(ValueError, match="is not an irreducible extended label"):
+        ExtLabel(r, s)
+    with pytest.raises(ValueError, match="is not an irreducible extended label"):
+        ExtModuleSum({ExtLabel(r, s): 1})
+
+
 def test_unit_and_simple_current_act_trivially():
     unit = ext_label(1, 1)
     current_lift = ext_label(1, 9)  # V(6,1) + V(1,1), same orbit as the algebra

@@ -295,7 +295,8 @@ def test_theta_null_reflection_symmetry(a, b):
 def test_theta_null_enlarging_bound_adds_nothing_in_range():
     small = theta_null(70, 53, 30)
     large = theta_null(70, 53, 120)
-    assert small == large.truncate(30)
+    assert (small.den, small.lowest, small.order_exponent) == (large.den, large.lowest, 30)
+    assert small.terms == tuple(t for t in large.terms if t[0] < small.order)
     assert small != large  # same terms below q^30, but different exactness bounds
 
 
@@ -519,13 +520,6 @@ def test_json_load_rejects_inconsistent_order():
         )
 
 
-def test_truncate_beyond_bound_raises():
-    s = monomial(1, 0, 1, 4)
-    with pytest.raises(ValueError):
-        s.truncate(5)
-    assert s.truncate(2).order == 2
-
-
 def test_pow_requires_positive_integer():
     s = monomial(2, 1, 1, 5)
     assert (s ** 3).coeff(3) == 8
@@ -698,8 +692,8 @@ def test_combined_euler_matches_product_of_single_factors():
                 full = full * euler_product(sign, e, 60)
             for n in (1, 2, 7, 60):
                 s = FracSeries(1, 0, _euler(parts, n))
-                t = full.truncate(n + 1)
-                assert (s.den, s.lowest, s.order, s.terms) == (1, 0, n + 1, t.terms), (parts, n)
+                known = tuple(t for t in full.terms if t[0] <= n)
+                assert (s.den, s.lowest, s.order, s.terms) == (1, 0, n + 1, known), (parts, n)
             assert FracSeries(1, 0, _euler(parts[::-1], 60)).terms == full.terms, parts
 
 
@@ -747,12 +741,6 @@ class DenseSeries:
             if c:
                 coeffs[(self.lowest + k) // d - lo] = c
         return DenseSeries(self.den // d, lo, coeffs)
-
-    def truncate(self, bound):
-        scaled = F(bound) * self.den
-        new_order = -(-scaled.numerator // scaled.denominator)
-        keep = max(new_order - self.lowest, 0)
-        return DenseSeries(self.den, min(self.lowest, new_order), self.coeffs[:keep])
 
     def __add__(self, other):
         d = lcm(self.den, other.den)
@@ -809,14 +797,6 @@ def test_sparse_kernel_matches_dense_reference(a, b):
     assert (sa + sb).to_json_dict() == (da + db).to_json_dict()
     assert sa.reduced().to_json_dict() == da.reduced().to_json_dict()
     assert (sa * sb).reduced().to_json_dict() == (da * db).reduced().to_json_dict()
-
-
-@given(a=paired_series(), back=st.fractions(0, 4, max_denominator=12))
-@settings(max_examples=100, deadline=None)
-def test_sparse_truncate_matches_dense_reference(a, back):
-    s, d = a
-    bound = s.order_exponent - back
-    assert s.truncate(bound).to_json_dict() == d.truncate(bound).to_json_dict()
 
 
 # --- packed (Kronecker) products against the dense reference ----------------
