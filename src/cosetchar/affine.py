@@ -59,9 +59,9 @@ class OspLabel:
     r: int
 
     def __post_init__(self):
-        if self.l < 1:
+        if index(self.l) < 1:
             raise ValueError("level must be a positive integer")
-        if self.r % 2 == 0 or not 1 <= self.r <= 2 * self.l + 1:
+        if index(self.r) % 2 == 0 or not 1 <= self.r <= 2 * self.l + 1:
             raise ValueError(f"r must be odd in 1..{2 * self.l + 1}, got {self.r}")
 
 
@@ -73,9 +73,9 @@ class Sl2Label:
     i: int
 
     def __post_init__(self):
-        if self.l < 1:
+        if index(self.l) < 1:
             raise ValueError("level must be a positive integer")
-        if not 0 <= self.i <= self.l:
+        if not 0 <= index(self.i) <= self.l:
             raise ValueError(f"i must lie in 0..{self.l}, got {self.i}")
 
 

@@ -211,19 +211,20 @@ def verify_decomposition(
     when given as (row, column, delta), shifts one summand coefficient before
     summing; it exists so that the failure path stays honest and testable.
     A position outside the 6 x (order+1) summand table raises ValueError, a
-    non-integer row, column or delta TypeError (before the table is built).
+    non-integer row, column or delta TypeError, both before the table is built.
     """
     order = index(order)
     if perturb is not None:
         row, col, delta = map(index, perturb)
+        size = sum(1 for _ in COSET_DECOMPOSITION.rows())
+        if not (0 <= row < size and 0 <= col <= order):
+            raise ValueError(
+                f"perturb position {row}:{col} lies outside the "
+                f"{size} x {order + 1} summand table"
+            )
     *products, (target_name, target) = _summand_series(order)
     notes = ()
     if perturb is not None:
-        if not (0 <= row < len(products) and 0 <= col <= order):
-            raise ValueError(
-                f"perturb position {row}:{col} lies outside the "
-                f"{len(products)} x {order + 1} summand table"
-            )
         # the table is shared through the cache: perturb a copy of the row
         name, coeffs = products[row]
         products[row] = (name, (*coeffs[:col], coeffs[col] + delta, *coeffs[col + 1 :]))

@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import index
 
 from .minimal import KacLabel, MinimalModel, ModuleSum
 
@@ -71,7 +72,7 @@ class ExtLabel:
     s: int
 
     def __post_init__(self):
-        if not (1 <= self.r <= 3 and 1 <= self.s <= 9):
+        if not (1 <= index(self.r) <= 3 and 1 <= index(self.s) <= 9):
             raise ValueError(f"{self} is not an irreducible extended label")
 
     @cached_property

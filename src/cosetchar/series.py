@@ -18,7 +18,7 @@ this package is assembled from: plain monomial prefactors, Euler products
 linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)`` (built on integer
 positions), and the private assembly ``_character`` that the minimal and
 affine characters share: theta numerator times one combined Euler factor (one
-cached ``_euler`` recurrence, which returns a dense row of ints), shifted by
+cached ``_euler`` row of ints, from sparse theta-type series), shifted by
 ``q^(-1/24)`` or ``q^(-1/8)``, exact through h - c/24 + order and no further.
 It runs in one integer pass, each theta term shifting and adding the Euler
 row, and is cached per argument set, so a command builds each character once.
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import ceil, floor, gcd, isqrt, lcm
-from operator import add, index, mul
+from operator import add, index, itemgetter, mul
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -55,9 +55,9 @@ __all__ = [
 # count.  The products that reach this choice are character times character,
 # in coset and in affine.branch_character (characters themselves are built
 # without __mul__).  On the seven products of the decomposition check the
-# packed product already wins from about 20 terms a factor, so 32 leans
-# towards the pair loop.
-_KRONECKER_MIN_TERMS = 32
+# two break even at about 20 terms a factor: the pair loop wins at 16 and
+# 18, the packed product at 24.
+_KRONECKER_MIN_TERMS = 20
 
 
 def _classes(terms, f: int, d: int) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -316,14 +316,6 @@ class FracSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "FracSeries":
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("only positive integer powers are supported")
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -392,7 +384,7 @@ def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
 
     sign is +1 or -1.  Factors beyond N only touch exponents > N, so the
     retained coefficients 0..N are the coefficients of the full infinite
-    product.  They come from the recurrence in ``_euler``.  A sign, exponent
+    product.  They come from the sparse series in ``_euler``.  A sign, exponent
     or N that is not an integer raises TypeError.
     """
     sign, exponent, n_terms = index(sign), index(exponent), index(n_terms)
@@ -408,28 +400,53 @@ def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
 def _euler(parts: tuple[tuple[int, int], ...], n: int) -> tuple[int, ...]:
     """Dense row of ints: ``prod_{(sign, e) in parts} prod_{m=1..n} (1 + sign*q^m)**e``, q^0..q^n.
 
-    Logarithmic-derivative recurrence ``n a_n = sum_{k=1..n} g(k) a_{n-k}``,
-    where g is the sum of the parts' own: ``g(k) = -e sigma(k)`` for
-    ``(1-q^m)^e`` and ``g(k) = e (sigma(k) - 2 sigma(k/2))`` for
-    ``(1+q^m)^e``, with sigma the divisor sum (zero off the integers).  So a
-    product of several Euler products costs one recurrence, not several
-    dense series products.
+    As ``1 + q^m = (1 - q^(2m)) / (1 - q^m)``, plus parts of total exponent e and
+    minus parts of total f give ``P**(e+f) * T**(-e)``, built from four sparse series
+    (Andrews, The Theory of Partitions, 1976, ch. 1-2; Q from the quintuple product,
+    S. Cooper, Int. J. Number Theory 2, 2006): ``P = (q;q) = sum_j (-1)^j q^(j(3j-1)/2)``,
+    ``J = P**3 = sum_(j>=0) (-1)^j (2j+1) q^(j(j+1)/2)``, ``T = theta_4 = P**2/(q^2;q^2)
+    = 1 + 2 sum_(j>=1) (-1)^j q^(j^2)`` and ``Q = P*T**2 = sum_j (6j+1) q^(j(3j+1)/2)``.
+    Q takes T's power in pairs and J takes P's in threes, rounding towards 0.  Each series
+    is applied to its power by binary powering: one O(n sqrt n) pass of exact integer steps
+    for a power of +-1, as in every character's row, and O(n**2 log|e|) for any power e.
     """
-    sigma = [0] * (n + 1)
-    for k in range(1, n + 1):
-        for m in range(k, n + 1, k):
-            sigma[m] += k
-    g = [0] * (n + 1)
-    for sign, e in parts:
-        for k in range(1, n + 1):
-            if sign == -1:
-                g[k] -= e * sigma[k]
-            else:
-                g[k] += e * (sigma[k] - (0 if k % 2 else 2 * sigma[k // 2]))
-    a = [1] + [0] * n
-    for m in range(1, n + 1):
-        a[m] = sum(map(mul, g[1 : m + 1], a[m - 1 :: -1])) // m
-    return tuple(a)
+    x, y = sum(c for _, c in parts), -sum(c for sign, c in parts if sign == 1)  # powers of P, T
+    z = y // 2 if y >= 0 else -(-y // 2)  # power of Q
+    a = (x - z) // 3 if x >= z else -((z - x) // 3)  # power of J
+    r = isqrt(n) + 2
+    row = [1] + [0] * n
+    for power, series in (
+        (z, ((j * (3 * j + 1) // 2, 6 * j + 1) for j in range(-r, r))),
+        (y - 2 * z, ((j * j, 2 * (-1) ** j) for j in range(1, r))),
+        (a, ((j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(1, 2 * r))),
+        (x - z - 3 * a, ((j * (3 * j - 1) // 2, (-1) ** abs(j)) for j in range(-r, r))),
+    ):
+        terms = [(p, c) for p, c in series if 0 < p <= n] if power else ()
+        for i, bit in enumerate(f"{abs(power):b}"[::-1]):  # terms: series**(2**i)
+            if i:
+                square = _times(_times([1] + [0] * n, terms), terms)
+                terms = [(p, c) for p, c in enumerate(square) if p and c]
+            if bit == "1":
+                row = _times(row, terms) if power > 0 else _over(row, terms)
+    return tuple(row)
+
+
+def _times(row: list[int], terms) -> list[int]:
+    """``row * (1 + sum c q^p)`` over ``(p, c)`` in terms, by shift and add."""
+    out = row[:]
+    for p, c in terms:
+        out[p:] = map(add, out[p:], map(c.__mul__, row))
+    return out
+
+
+def _over(row: list[int], terms) -> list[int]:
+    """``row / (1 + sum c q^p)`` by ``out[m] = row[m] - sum c out[m-p]``, zero for m < p."""
+    out = [0] * len(row)
+    cs = [c for _, c in terms]
+    get = itemgetter(*(-p for p, _ in terms), 0, 0)
+    for v in row:
+        out.append(v - sum(map(mul, cs, get(out))))
+    return out[len(row) :]
 
 
 def _theta(
@@ -511,7 +528,7 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
     the sum of ``sign * theta(*args, bound)``, each built by ``theta_null`` or
     ``weighted_theta`` to the least integer above ``target + 1/eta_den``.
     ``euler_parts`` lists the ``(sign, e)`` of every Euler factor; all of them
-    come as one dense row from one ``_euler`` recurrence, kept through q^order
+    come as one dense row from one ``_euler`` call, kept through q^order
     and shared by every character with the same parts and order.  ``target``
     is the caller's h - c/24 + order: the result is exact through it and no
     further (``order_exponent == target + 1/den``).  A target that is not

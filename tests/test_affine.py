@@ -60,6 +60,14 @@ def test_label_validation():
         Sl2Label(0, 0)
 
 
+@pytest.mark.parametrize("label", [OspLabel, Sl2Label])
+def test_labels_read_their_fields_as_ints(label):
+    for fields in [(1, 1.0), (1.0, 1), (F(1), 1), (1, F(1))]:
+        with pytest.raises(TypeError):
+            label(*fields)
+    assert label(True, True) == label(1, 1)  # a bool is an int, as an order is
+
+
 def test_osp_character_leading_terms():
     assert osp_character(OspLabel(2, 1), 0).leading_term() == (F(-1, 42), F(1))
     # M_3 at level 2: weight 1/7, three lowest states

@@ -209,6 +209,16 @@ def test_non_integer_perturbation_is_refused_before_the_table(check, perturb):
     assert _summand_series.cache_info().misses == 0
 
 
+@pytest.mark.parametrize("perturb", [(6, 0, 1), (-1, 0, 1), (0, 51, 1), (0, -1, 1), (9, 0, 1)],
+                         ids=["row-6", "row-minus-1", "col-51", "col-minus-1", "row-9"])
+@pytest.mark.parametrize("check", [verify_decomposition, run_all])
+def test_perturb_position_is_refused_before_the_table(check, perturb):
+    _summand_series.cache_clear()
+    with pytest.raises(ValueError, match=r"^perturb position .* the 6 x 51 summand table$"):
+        check(50, perturb)
+    assert _summand_series.cache_info().misses == 0
+
+
 def test_ladder_comparisons_are_decomposition_columns():
     for order in range(41):
         columns = {c.exponent: c for c in verify_decomposition(order).comparisons}

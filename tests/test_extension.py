@@ -101,6 +101,13 @@ def test_ext_label_refuses_a_label_outside_the_presented_range(r, s):
         ExtModuleSum({ExtLabel(r, s): 1})
 
 
+def test_ext_label_reads_its_fields_as_ints():
+    for r, s in [(1.5, 2), (2, 3.0), (2.0, 3), (Fraction(2), 3)]:
+        with pytest.raises(TypeError):
+            ExtLabel(r, s)
+    assert ExtLabel(True, 2) == ExtLabel(1, 2)  # a bool is an int, as an order is
+
+
 def test_unit_and_simple_current_act_trivially():
     unit = ext_label(1, 1)
     current_lift = ext_label(1, 9)  # V(6,1) + V(1,1), same orbit as the algebra
