@@ -26,7 +26,7 @@ from operator import index
 from typing import Literal
 
 from .minimal import KacLabel, MinimalModel
-from .series import FracSeries, _character, weighted_theta
+from .series import FracSeries, _character, monomial, weighted_theta
 
 __all__ = [
     "OspLabel",
@@ -143,6 +143,27 @@ def osp_character(lab: OspLabel, order: int = 20) -> FracSeries:
     )
 
 
+def _osp_supercharacter(lab: OspLabel, order: int) -> FracSeries:
+    """Even part minus odd part of M_r, exact through q^(h - c/24 + order), and no further.
+
+    The Andrews-Gordon product (-1)^((r-1)/2) q^(h-c/24) prod 1/(1-q^n) over
+    n >= 1, n != 0, +-i (mod a), with a = 2l+3 and i = (a-r)/2: up to sign the
+    (2, 2l+3) minimal-model character of label i (Andrews 1974, Proc. Nat. Acad.
+    Sci. USA 71; Rocha-Caridi 1985), for l = 1 the Rogers-Ramanujan G (r = 1)
+    and -H (r = 3).  One dense pass per allowed n, with no theta sum or Euler row.
+    """
+    order = index(order)
+    a = 2 * lab.l + 3
+    row = [1] + [0] * order
+    for n in range(1, order + 1):
+        if n % a not in (0, (a - lab.r) // 2, (a + lab.r) // 2):
+            for m in range(n, order + 1):
+                row[m] += row[m - n]
+    lead = osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24
+    sign, den = (-1) ** ((lab.r - 1) // 2), lead.denominator
+    return FracSeries(1, 0, row) * monomial(sign, lead.numerator, den, order * den + 1)
+
+
 def sl2_central_charge(l: int) -> Fraction:
     if l < 1:
         raise ValueError("level must be a positive integer")
@@ -224,8 +245,8 @@ def lowest_space(l: int, r: int) -> tuple[Fraction, int]:
 
 
 def h_alpha_beta(alpha: int, beta: int, t: Fraction) -> Fraction:
-    """(1/4)(a^2-1)t - (1/2)(ab-1) + (1/4)(b^2-1)/t."""
-    t = Fraction(t)
+    """(1/4)(a^2-1)t - (1/2)(ab-1) + (1/4)(b^2-1)/t, for t an int or a Fraction."""
+    t = Fraction(t, 1)
     if t == 0:
         raise ValueError("t must be nonzero")
     return (

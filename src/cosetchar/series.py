@@ -145,7 +145,7 @@ class FracSeries:
     for serialization and inspection.  Instances are immutable: assigning to
     or deleting a slot raises AttributeError, and all arithmetic returns new
     objects.  A coefficient or scalar that is not an integer raises
-    TypeError.
+    TypeError, and so does an exponent that is not an int or a Fraction.
     """
 
     __slots__ = ("den", "lowest", "order", "terms")
@@ -217,7 +217,7 @@ class FracSeries:
         """
         if count < 0:
             raise ValueError("count must be >= 0")
-        start = Fraction(start)
+        start = Fraction(start, 1)
         if count:
             self._require_known(start + count - 1)
         out = [0] * count
@@ -458,9 +458,11 @@ def _theta(
     the scale's and the bound's denominators; duplicate positions are summed,
     and ``reduced`` moves the result to the coarsest lattice.  ``lowest`` is
     the first term's slot even when its coefficient cancels (weights n and
-    -n).
+    -n).  An order that is not an int or a Fraction raises TypeError.
     """
-    order = Fraction(order)
+    order = Fraction(order, 1)
+    if order < 1:
+        raise ValueError("order must be >= 1")
     den = lcm(scale.denominator, order.denominator)
     u = scale.numerator * (den // scale.denominator)
     stop = order.numerator * (den // order.denominator)
@@ -480,8 +482,6 @@ def theta_null(a: int, b: int, order: int) -> FracSeries:
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    if order < 1:
-        raise ValueError("order must be >= 1")
     return _theta(2 * a, b, Fraction(1, 4 * a), order, lambda n: 1)
 
 
@@ -489,11 +489,9 @@ def weighted_theta(a: int, b: int, c: Fraction | int, order: int) -> FracSeries:
     """``sum_{m in Z} (a*m + b) * q**(c*(m + b/a)**2)`` exact below order."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    c = Fraction(c)
+    c = Fraction(c, 1)
     if c <= 0:
         raise ValueError("c must be positive")
-    if order < 1:
-        raise ValueError("order must be >= 1")
     return _theta(a, b, c / a**2, order, lambda n: n)
 
 
@@ -514,7 +512,7 @@ def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
     comparison never passes on a region that one side does not know.  Unlike
     ``==`` it ignores what either side knows beyond bound.
     """
-    bound = Fraction(bound)
+    bound = Fraction(bound, 1)
     for s in (a, b):
         s._require_known(bound)
     return _terms_equal_through(a, b, bound)

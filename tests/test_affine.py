@@ -360,3 +360,99 @@ def test_character_refuses_a_target_off_the_theta_route(monkeypatch, build, step
     kwargs = {**kwargs, "target": kwargs["target"] + levels + F(steps, good.den)}
     with pytest.raises(RuntimeError, match="bookkeeping"):
         series._character(*args, **kwargs)
+
+
+# --- supercharacter: the Andrews-Gordon product route -----------------------
+
+
+def _lead(lab):
+    return osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24
+
+
+def _branch_difference(lab, order):
+    return (branch_character(lab.l, lab.r, "even", order)
+            - branch_character(lab.l, lab.r, "odd", order))
+
+
+@pytest.mark.parametrize("l", range(1, 13))
+def test_supercharacter_is_even_minus_odd(l):
+    order = 40 if l <= 4 else 20
+    for lab in osp_modules(l):
+        got = affine._osp_supercharacter(lab, order)
+        assert equal_through(got, _branch_difference(lab, order), _lead(lab) + order), lab
+
+
+@pytest.mark.parametrize("l", [50, 100, 150])
+def test_supercharacter_is_even_minus_odd_at_high_levels(l):
+    for r in (1, 2 * l + 1):
+        lab = OspLabel(l, r)
+        got = affine._osp_supercharacter(lab, 5)
+        assert equal_through(got, _branch_difference(lab, 5), _lead(lab) + 5), lab
+
+
+def _rogers_ramanujan(shift, order):
+    """Coefficients of q^0 .. q^order of sum_n q^(n^2 + shift*n) / (q;q)_n."""
+    total = [0] * (order + 1)
+    n = 0
+    while n * n + shift * n <= order:
+        row = [0] * (order + 1)
+        row[n * n + shift * n] = 1
+        for k in range(1, n + 1):  # divide by 1 - q^k
+            for m in range(k, order + 1):
+                row[m] += row[m - k]
+        total = [a + b for a, b in zip(total, row)]
+        n += 1
+    return total
+
+
+def test_level_one_supercharacters_are_the_rogers_ramanujan_sums():
+    # M_1 gives G(q), M_3 gives -H(q), each times q^(h - c/24)
+    for r, shift, sign in ((1, 0, 1), (3, 1, -1)):
+        lab = OspLabel(1, r)
+        got = affine._osp_supercharacter(lab, 40).coeff_row(_lead(lab), 41)
+        assert list(got) == [sign * c for c in _rogers_ramanujan(shift, 40)], r
+
+
+@pytest.mark.parametrize("order", [0, 1, 7])
+def test_supercharacter_is_exact_through_its_window_and_no_further(order):
+    for lab in osp_modules(3):
+        s = affine._osp_supercharacter(lab, order)
+        target = _lead(lab) + order
+        assert s.order_exponent == target + F(1, s.den)
+        assert s.coeff(target) == s.coeff_row(target, 1)[0]
+        with pytest.raises(ValueError):
+            s.coeff(s.order_exponent)
+
+
+def _product_row(a, i, sign, order):
+    """sign * prod 1/(1 - q^n) over n >= 1, n != 0, +-i (mod a), through q^order."""
+    row = [sign] + [0] * order
+    for n in range(1, order + 1):
+        if n % a not in (0, i % a, -i % a):
+            for m in range(n, order + 1):
+                row[m] += row[m - n]
+    return row
+
+
+def test_supercharacter_variants_fail():
+    # the identity pins i and the sign: i +- 1 and the unsigned product differ
+    # from even - odd wherever they change the product at all
+    order, shifted, unsigned = 20, 0, 0
+    for l in range(1, 5):
+        a = 2 * l + 3
+        for lab in osp_modules(l):
+            i, sign = (a - lab.r) // 2, (-1) ** ((lab.r - 1) // 2)
+            diff = list(_branch_difference(lab, order).coeff_row(_lead(lab), order + 1))
+            assert _product_row(a, i, sign, order) == diff
+            got = affine._osp_supercharacter(lab, order)
+            assert list(got.coeff_row(_lead(lab), order + 1)) == diff
+            for j in (i - 1, i + 1):
+                # i + 1 = a - i when r = 1: the same excluded residues
+                if {j % a, -j % a} != {i, a - i}:
+                    assert _product_row(a, j, sign, order) != diff, (lab, j)
+                    shifted += 1
+            if sign == -1:
+                assert _product_row(a, i, 1, order) != diff, lab
+                unsigned += 1
+    # 14 modules, less one i + 1 per level; r = 3 and 7 carry the sign -1
+    assert (shifted, unsigned) == (2 * 14 - 4, 6)

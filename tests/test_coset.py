@@ -10,6 +10,7 @@ import pytest
 from cosetchar.coset import (
     BASE_EXPONENT,
     COSET_DECOMPOSITION,
+    MAX_REFINEMENT_ORDER,
     run_all,
     singular_ladder,
     verify_central_charge,
@@ -28,7 +29,7 @@ from cosetchar.affine import (
     osp_character,
     osp_weight,
 )
-from cosetchar import affine, minimal, series
+from cosetchar import affine, coset, minimal, series
 from cosetchar.cli import MAX_ORDER, main
 from cosetchar.minimal import MinimalModel
 from cosetchar.series import euler_product, monomial, theta_null, weighted_theta
@@ -505,3 +506,26 @@ def test_bool_order_is_stored_as_int():
     report = verify_decomposition(True)
     assert type(report.order) is int and report.order == 1
     assert '"order": 1,' in report.dumps()
+
+
+def test_even_refinement_makes_23_comparisons_per_column():
+    for k in range(MAX_REFINEMENT_ORDER + 1):
+        report = verify_even_refinement(k)
+        assert report.passed and len(report.comparisons) == 23 * (k + 1)
+
+
+@pytest.mark.parametrize("where", ["lowest", "top"])
+def test_even_refinement_fails_on_a_shifted_supercharacter(monkeypatch, where):
+    real = coset._osp_supercharacter
+
+    def shifted(lab, order):
+        # one coefficient of each supercharacter moved by one: the leading one,
+        # or the last one of the window
+        s = real(lab, order)
+        p = s.terms[0][0] if where == "lowest" else s.order - 1
+        return s + monomial(1, p, s.den, s.order - p)
+
+    monkeypatch.setattr(coset, "_osp_supercharacter", shifted)
+    for k in range(MAX_REFINEMENT_ORDER + 1):
+        report = verify_even_refinement(k)
+        assert not report.passed and len(report.comparisons) == 23 * (k + 1), k

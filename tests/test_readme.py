@@ -75,3 +75,15 @@ def test_each_public_name_is_declared_once():
     assert not cli_loaded
     submodules = {module.__name__.rsplit(".", 1)[1] for module in MODULES}
     assert set(names) - submodules == set(declared)
+
+
+def test_readme_series_operators_are_defined():
+    # "Series support `+`, `-`, `*`, ..." names only operators FracSeries has
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"Series support (.*?), exact", text, re.S).group(1)
+    methods = {"+": "__add__", "-": "__sub__", "*": "__mul__", "**": "__pow__",
+               "/": "__truediv__", "//": "__floordiv__"}
+    operators = re.findall(r"`([^`]+)`", listed)
+    assert operators
+    for op in operators:
+        assert hasattr(series.FracSeries, methods[op]), op

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosetchar import series
+from cosetchar.affine import h_alpha_beta
 from cosetchar.minimal import KacLabel, MinimalModel
 from cosetchar.series import (
     FracSeries,
@@ -206,6 +208,28 @@ def test_non_integer_position_is_refused(build):
     # int() would truncate these, to a different series than asked for
     with pytest.raises(TypeError):
         build()
+
+
+_EXACT = FracSeries(2, -1, [1, 0, 3, 0, 5, 0, 7, 0, 9])
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: _EXACT.coeff(x),
+    lambda x: _EXACT.coeff_row(x, 2),
+    lambda x: equal_through(_EXACT, _EXACT, x),
+    lambda x: theta_null(1, 1, x),
+    lambda x: weighted_theta(4, 1, x, 3),
+    lambda x: weighted_theta(4, 1, 2, x),
+    lambda x: h_alpha_beta(1, 2, x),
+], ids=["coeff", "coeff_row", "equal_through", "theta_null-order", "weighted_theta-c",
+        "weighted_theta-order", "h_alpha_beta-t"])
+@pytest.mark.parametrize("bad", ["1", "3/2", 0.1, 2.0, Decimal("1.5")])
+def test_exponents_and_bounds_must_be_exact(call, bad):
+    # Fraction(x) would read these, each as some nearby rational
+    with pytest.raises(TypeError):
+        call(bad)
+    call(F(3, 2))
+    call(2)
 
 
 def test_json_load_refuses_non_integral_coefficient():
