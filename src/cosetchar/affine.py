@@ -41,7 +41,6 @@ __all__ = [
     "sl2_character",
     "branch_model",
     "branch_terms",
-    "branch_weight",
     "branch_character",
     "lowest_space",
     "h_alpha_beta",
@@ -59,8 +58,7 @@ class OspLabel:
     r: int
 
     def __post_init__(self):
-        if index(self.l) < 1:
-            raise ValueError("level must be a positive integer")
+        Sl2Label(self.l, 0)  # the level check
         if index(self.r) % 2 == 0 or not 1 <= self.r <= 2 * self.l + 1:
             raise ValueError(f"r must be odd in 1..{2 * self.l + 1}, got {self.r}")
 
@@ -81,41 +79,45 @@ class Sl2Label:
 
 @dataclass(frozen=True)
 class BranchTerm:
-    """One summand L(l,i) (x) V_{i+1,r} of a branching decomposition."""
+    """Summand L(l,i) (x) V_{i+1,r} of the branching of M_r; even or odd with i."""
 
-    sl2: Sl2Label
-    vir: KacLabel
-    parity: str
+    l: int
+    i: int
+    r: int
 
     def __post_init__(self):
-        if self.vir.r != self.sl2.i + 1:
-            raise ValueError("Virasoro row index must be i+1")
-        if self.parity != ("even" if self.sl2.i % 2 == 0 else "odd"):
-            raise ValueError("parity must match the parity of i")
+        Sl2Label(self.l, self.i)
+        OspLabel(self.l, self.r)
+
+    @property
+    def sl2(self) -> Sl2Label:
+        return Sl2Label(self.l, self.i)
+
+    @property
+    def vir(self) -> KacLabel:
+        return KacLabel(self.i + 1, self.r)
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.i % 2 else "even"
 
     @property
     def weight(self) -> Fraction:
-        return branch_weight(self.sl2.l, self.sl2.i, self.vir.s)
+        return sl2_weight(self.sl2) + branch_model(self.l).conformal_weight(self.vir)
 
     def to_json(self) -> dict:
         w = self.weight
-        return {
-            "sl2": {"level": self.sl2.l, "i": self.sl2.i},
-            "vir": {"r": self.vir.r, "s": self.vir.s},
-            "parity": self.parity,
-            "weight": f"{w.numerator}/{w.denominator}",
-        }
+        return {"sl2": {"level": self.l, "i": self.i}, "vir": self.vir._asdict(),
+                "parity": self.parity, "weight": f"{w.numerator}/{w.denominator}"}
 
 
 def osp_central_charge(l: int) -> Fraction:
-    if l < 1:
-        raise ValueError("level must be a positive integer")
+    OspLabel(l, 1)
     return Fraction(2 * l, 2 * l + 3)
 
 
 def osp_modules(l: int) -> list[OspLabel]:
-    if l < 1:
-        raise ValueError("level must be a positive integer")
+    OspLabel(l, 1)
     return [OspLabel(l, r) for r in range(1, 2 * l + 2, 2)]
 
 
@@ -165,8 +167,7 @@ def _osp_supercharacter(lab: OspLabel, order: int) -> FracSeries:
 
 
 def sl2_central_charge(l: int) -> Fraction:
-    if l < 1:
-        raise ValueError("level must be a positive integer")
+    Sl2Label(l, 0)
     return Fraction(3 * l, l + 2)
 
 
@@ -196,22 +197,8 @@ def branch_terms(l: int, r: int, parity: Parity = "both") -> list[BranchTerm]:
     OspLabel(l, r)
     if parity not in ("even", "odd", "both"):
         raise ValueError(f"parity must be 'even', 'odd' or 'both', got {parity!r}")
-    out = []
-    for i in range(0, l + 1):
-        par = "even" if i % 2 == 0 else "odd"
-        if parity != "both" and par != parity:
-            continue
-        out.append(BranchTerm(Sl2Label(l, i), KacLabel(i + 1, r), par))
-    return out
-
-
-def branch_weight(l: int, i: int, r: int) -> Fraction:
-    """Conformal weight of L(l,i) (x) V_{i+1,r}."""
-    Sl2Label(l, i)
-    OspLabel(l, r)
-    return Fraction(
-        2 * (i + 1) ** 2 - 2 * (i + 1) * r, 4
-    ) + Fraction((l + 2) * (r * r - 1), 4 * (2 * l + 3))
+    terms = [BranchTerm(l, i, r) for i in range(l + 1)]
+    return terms if parity == "both" else [t for t in terms if t.parity == parity]
 
 
 def branch_character(l: int, r: int, parity: Parity = "both", order: int = 20) -> FracSeries:
@@ -235,13 +222,12 @@ def branch_character(l: int, r: int, parity: Parity = "both", order: int = 20) -
 def lowest_space(l: int, r: int) -> tuple[Fraction, int]:
     """(weight, dimension) of the lowest graded piece of M_r.
 
-    The weight is the minimum branch weight; the dimension adds up the sl2
+    The weight is the minimum branch term weight; the dimension adds up the sl2
     lowest-space dimensions i+1 over the minimizing branch terms.
     """
-    weights = {i: branch_weight(l, i, r) for i in range(l + 1)}
+    weights = {t.i: t.weight for t in branch_terms(l, r)}
     w = min(weights.values())
-    dim = sum(i + 1 for i, wi in weights.items() if wi == w)
-    return w, dim
+    return w, sum(i + 1 for i, wi in weights.items() if wi == w)
 
 
 def h_alpha_beta(alpha: int, beta: int, t: Fraction) -> Fraction:

@@ -25,12 +25,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import re
 import sys
 from fractions import Fraction
 
 from . import affine, coset, extension
 from .minimal import KacLabel, MinimalModel
+from .series import T_FORM
 
 DEFAULT_ORDER = 20
 # size caps: one for the order, one for p and q (the model is symmetric in
@@ -40,9 +40,6 @@ DEFAULT_ORDER = 20
 MAX_ORDER = 200
 MAX_PQ = 16
 MAX_LEVEL = 150
-# the one form --t takes: an integer or NUM/DEN in ASCII digits; Fraction
-# would also read an exponent such as 1e99999999 and build 10**99999999
-T_FORM = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _join_t(argv: list[str]) -> list[str]:

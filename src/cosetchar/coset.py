@@ -61,8 +61,8 @@ __all__ = [
 
 COSET_MODEL = MinimalModel(10, 7)
 
-# leading exponent of the tensor-square character: -c/24 with c = 4/5
-BASE_EXPONENT = Fraction(-1, 30)
+# leading exponent of the tensor-square character, twice h - c/24 of L(1,0): -1/30
+BASE_EXPONENT = 2 * (osp_weight(1, 1) - osp_central_charge(1) / 24)
 
 
 @dataclass(frozen=True)
@@ -248,19 +248,20 @@ def verify_decomposition(
 MAX_REFINEMENT_ORDER = 10
 
 
-def _parity_tables(order: int) -> dict[str, list[tuple[str, tuple[int, ...]]]]:
-    """Per parity, the six refined product rows, then the refined target row."""
+def _parity_tables(order: int):
+    """Per parity, the six refined product rows, then the refined target row; and the
+    even and odd parts of L(1,0), L(2,0), M3 and M5 that they read, each built once."""
+    parts = {lab: {p: branch_character(lab.l, lab.r, p, order) for p in ("even", "odd")}
+             for lab in (OspLabel(1, 1), *dict(COSET_DECOMPOSITION.pairings))}
     # parity parts of the square: even = e^2 + o^2, odd = 2 e o, where e and o
     # are the parity parts of a single level-1 factor
-    e = branch_character(1, 1, "even", order)
-    o = branch_character(1, 1, "odd", order)
+    e, o = parts[OspLabel(1, 1)].values()
     squares = {"even": e * e + o * o, "odd": (e * o) * 2}
     return {
-        parity: _products(
-            order, lambda osp_lab: branch_character(2, osp_lab.r, parity, order), parity
-        ) + [(f"ch[L(1,0)^2 {parity}]", _coeff_row(square, order))]
+        parity: _products(order, lambda osp_lab: parts[osp_lab][parity], parity)
+        + [(f"ch[L(1,0)^2 {parity}]", _coeff_row(square, order))]
         for parity, square in squares.items()
-    }
+    }, parts
 
 
 def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationReport:
@@ -270,22 +271,28 @@ def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationRep
     from the Andrews-Gordon product ``affine._osp_supercharacter``: six rows
     sch[M] * ch[V], then sch[L(1,0)]^2.  Per column of each row, with the plain
     table row: 2 even = plain + diff, 2 odd = plain - diff, even + odd = plain.
-    Per parity, the containment identity sum(products) = refined target.
+    Per parity, the containment identity sum(products) = refined target.  Per
+    module L(1,0), L(2,0), M3 and M5, over its own order+1 coefficients from
+    h - c/24: even - odd = sch, which sees each sign at every order.
     """
     order = index(order)
-    if not 0 <= order <= MAX_REFINEMENT_ORDER:
-        raise ValueError(f"order must lie in 0..{MAX_REFINEMENT_ORDER}")
-    tables = _parity_tables(order)
-    sch = _osp_supercharacter(OspLabel(1, 1), order)
-    diffs = _products(order, lambda osp_lab: _osp_supercharacter(osp_lab, order))
+    tables, parts = _parity_tables(order)
+    schs = {lab: _osp_supercharacter(lab, order) for lab in parts}
+    sch = schs[OspLabel(1, 1)]
+    diffs = _products(order, schs.__getitem__)
     diffs.append(("sch[L(1,0)]^2", _coeff_row(sch * sch, order)))
     comparisons: list[Comparison] = []
     for *products, (_, target) in tables.values():
         comparisons.extend(_sum_rule(products, target, order)[1])
+    exponents = [BASE_EXPONENT + k for k in range(order + 1)]
     for rows in zip(*tables.values(), _summand_series(order), diffs):
-        for k, (e, o, c, d) in enumerate(zip(*(coeffs for _, coeffs in rows))):
+        for x, e, o, c, d in zip(exponents, *(coeffs for _, coeffs in rows)):
             pairs = ((2 * e, c + d), (2 * o, c - d), (e + o, c))
-            comparisons += [Comparison(BASE_EXPONENT + k, lhs, rhs) for lhs, rhs in pairs]
+            comparisons += [Comparison(x, lhs, rhs) for lhs, rhs in pairs]
+    for lab, part in parts.items():
+        lead = osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24
+        rows = (s.coeff_row(lead, order + 1) for s in (part["even"], part["odd"], schs[lab]))
+        comparisons += [Comparison(lead + k, e - o, d) for k, (e, o, d) in enumerate(zip(*rows))]
     return VerificationReport(
         check="even-refinement",
         order=order,

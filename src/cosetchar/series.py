@@ -30,6 +30,7 @@ exponent, which both must know.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
@@ -58,6 +59,11 @@ __all__ = [
 # two break even at about 20 terms a factor: the pair loop wins at 16 and
 # 18, the packed product at 24.
 _KRONECKER_MIN_TERMS = 20
+
+# the one form of a rational read from text (a JSON coefficient, the CLI's --t):
+# an integer or NUM/DEN in ASCII digits.  Fraction would also read an exponent
+# such as 1e99999999, and build 10**99999999
+T_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _classes(terms, f: int, d: int) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -341,11 +347,12 @@ class FracSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FracSeries":
-        """Series from ``to_json_dict`` output; ValueError on a non-integral coefficient."""
-        coeffs = [Fraction(c) for c in d["coeffs"]]
-        if any(c.denominator != 1 for c in coeffs):
-            raise ValueError("series coefficients must be integers")
-        dense = cls(d["denominator"], d["lowest"], [c.numerator for c in coeffs])
+        """Series from ``to_json_dict``; each coefficient must be an integer in ``T_FORM``."""
+        forms = [T_FORM.fullmatch(c) for c in d["coeffs"]]  # before any parse
+        pairs = [(int(m[1]), int(m[2] or 1)) if m else (0, 0) for m in forms]
+        if any(den == 0 or num % den for num, den in pairs):
+            raise ValueError("series coefficients must be integers written N or N/D")
+        dense = cls(d["denominator"], d["lowest"], [num // den for num, den in pairs])
         order = index(d["order"])
         if order < dense.order:
             raise ValueError("order field below the stored coefficient range")

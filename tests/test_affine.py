@@ -10,9 +10,7 @@ from cosetchar.affine import (
     OspLabel,
     Sl2Label,
     branch_character,
-    branch_model,
     branch_terms,
-    branch_weight,
     h_alpha_beta,
     lowest_space,
     osp_central_charge,
@@ -45,8 +43,9 @@ def test_osp_module_lists():
     for l in range(1, 6):
         assert len(osp_modules(l)) == l + 1
     for l in (0, -1, -5):
-        with pytest.raises(ValueError, match="^level must be a positive integer$"):
-            osp_modules(l)
+        for call in (osp_modules, osp_central_charge, sl2_central_charge):
+            with pytest.raises(ValueError, match="^level must be a positive integer$"):
+                call(l)
 
 
 def test_label_validation():
@@ -178,10 +177,11 @@ def test_branch_terms_structure():
     assert [t.sl2.i for t in terms] == [0, 1, 2]
     assert [t.vir for t in terms] == [L(1, 3), L(2, 3), L(3, 3)]
     assert [t.parity for t in terms] == ["even", "odd", "even"]
+    assert terms[1] == BranchTerm(2, 1, 3) and terms[1].sl2 == Sl2Label(2, 1)
     with pytest.raises(ValueError):
-        BranchTerm(Sl2Label(2, 0), L(2, 3), "even")  # row must be i+1
+        BranchTerm(2, 3, 3)  # i > l
     with pytest.raises(ValueError):
-        BranchTerm(Sl2Label(2, 1), L(2, 3), "even")  # parity mismatch
+        BranchTerm(2, 1, 4)  # even r
 
 
 def test_branch_terms_refuse_an_unknown_parity():
@@ -207,23 +207,27 @@ def test_branch_terms_json():
     assert data[1]["weight"] == "3/7"
 
 
+def branch_weight(l, i, r):
+    """Closed-form weight of L(l,i) (x) V_{i+1,r}: the reference for BranchTerm.weight."""
+    return F(2 * (i + 1) ** 2 - 2 * (i + 1) * r, 4) + F((l + 2) * (r * r - 1), 4 * (2 * l + 3))
+
+
 def test_branch_weights():
-    assert branch_weight(2, 0, 3) == F(1, 7)
-    assert branch_weight(2, 1, 3) == F(1, 7)
-    assert branch_weight(2, 1, 5) == F(3, 7)
-    assert branch_weight(2, 2, 5) == F(3, 7)
-    assert branch_weight(2, 0, 5) == F(10, 7)
+    assert BranchTerm(2, 0, 3).weight == F(1, 7)
+    assert BranchTerm(2, 1, 3).weight == F(1, 7)
+    assert BranchTerm(2, 1, 5).weight == F(3, 7)
+    assert BranchTerm(2, 2, 5).weight == F(3, 7)
+    assert BranchTerm(2, 0, 5).weight == F(10, 7)
     for l in (1, 2, 3, 4):
-        assert branch_weight(l, 0, 1) == 0
+        assert BranchTerm(l, 0, 1).weight == 0
 
 
 def test_branch_weight_agrees_with_sl2_plus_vir():
-    for l in (1, 2, 3):
-        model = branch_model(l)
+    # BranchTerm.weight adds the sl2 and Virasoro weights; the closed form does not
+    for l in range(1, 13):
         for r in range(1, 2 * l + 2, 2):
             for i in range(l + 1):
-                expected = sl2_weight(Sl2Label(l, i)) + model.conformal_weight(L(i + 1, r))
-                assert branch_weight(l, i, r) == expected
+                assert BranchTerm(l, i, r).weight == branch_weight(l, i, r), (l, i, r)
 
 
 def test_lowest_spaces():

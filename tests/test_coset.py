@@ -265,7 +265,7 @@ def test_even_refinement_recombines_to_full_rows():
 def test_parity_identities_at_cli_cap():
     # containment and recombination need no reference rows, so they run past q^10
     order = MAX_ORDER
-    tables = _parity_tables(order)
+    tables, _ = _parity_tables(order)
     for *products, (_, target) in tables.values():
         _, comparisons = _sum_rule(products, target, order)
         assert len(comparisons) == order + 1
@@ -275,9 +275,12 @@ def test_parity_identities_at_cli_cap():
         assert tuple(a + b for a, b in zip(even, odd)) == plain
 
 
-def test_even_refinement_rejects_orders_beyond_reference():
-    with pytest.raises(ValueError):
-        verify_even_refinement(11)
+@pytest.mark.parametrize("order", [11, 40])
+def test_even_refinement_reads_orders_beyond_the_cli_clamp(order):
+    # the CLI and run_all clamp to MAX_REFINEMENT_ORDER to pin their bytes; the
+    # library check itself takes any order
+    report = verify_even_refinement(order)
+    assert report.passed and len(report.comparisons) == 27 * (order + 1)
 
 
 def test_singular_ladder_candidates_and_checks():
@@ -508,10 +511,26 @@ def test_bool_order_is_stored_as_int():
     assert '"order": 1,' in report.dumps()
 
 
-def test_even_refinement_makes_23_comparisons_per_column():
+def test_even_refinement_makes_27_comparisons_per_column():
+    # per column: 2 sum rules, 3 x 7 recombinations, and even - odd = sch for
+    # each of the 4 modules over its own window
     for k in range(MAX_REFINEMENT_ORDER + 1):
         report = verify_even_refinement(k)
-        assert report.passed and len(report.comparisons) == 23 * (k + 1)
+        assert report.passed and len(report.comparisons) == 27 * (k + 1)
+
+
+def test_even_refinement_sees_the_supercharacter_sign_at_every_order(monkeypatch):
+    # the product rows of M3 start at column 2, so only the per-module
+    # comparison sees M3's sign (-1)^((r-1)/2) at orders 0 and 1
+    real = coset._osp_supercharacter
+
+    def unsigned(lab, order):
+        s = real(lab, order)
+        return s * -1 if lab.r % 4 == 3 else s
+
+    monkeypatch.setattr(coset, "_osp_supercharacter", unsigned)
+    for k in range(MAX_REFINEMENT_ORDER + 1):
+        assert not verify_even_refinement(k).passed, k
 
 
 @pytest.mark.parametrize("where", ["lowest", "top"])
@@ -528,4 +547,4 @@ def test_even_refinement_fails_on_a_shifted_supercharacter(monkeypatch, where):
     monkeypatch.setattr(coset, "_osp_supercharacter", shifted)
     for k in range(MAX_REFINEMENT_ORDER + 1):
         report = verify_even_refinement(k)
-        assert not report.passed and len(report.comparisons) == 23 * (k + 1), k
+        assert not report.passed and len(report.comparisons) == 27 * (k + 1), k

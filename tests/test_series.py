@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
@@ -244,6 +245,24 @@ def test_json_load_refuses_non_integral_coefficient():
     for field in ("denominator", "lowest", "order"):
         with pytest.raises(TypeError):
             FracSeries.from_json_dict({**blob, "coeffs": ["3/1"], field: 1.5})
+
+
+@pytest.mark.parametrize(
+    "bad", ["1e3", "2.0", " 7/1 ", "7/1\n", "1_000/1", "\u0663", "3/0", "1e99999999"], ids=repr)
+def test_json_load_reads_only_integer_or_num_den_coefficients(bad):
+    # Fraction reads most of these strings, 1e99999999 by building
+    # 10**99999999; the parser refuses each before parsing it
+    blob = json.dumps({"denominator": 1, "lowest": 0, "coeffs": ["1/1", bad], "order": 2})
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        FracSeries.loads(blob)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("bad", [3, 3.0, None], ids=repr)
+def test_json_load_refuses_a_coefficient_that_is_not_a_string(bad):
+    with pytest.raises(TypeError):
+        FracSeries.loads(json.dumps({"denominator": 1, "lowest": 0, "coeffs": [bad], "order": 1}))
 
 
 # --- euler_product ---------------------------------------------------------
