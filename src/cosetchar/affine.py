@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import index
 from typing import Literal
 
@@ -101,7 +102,7 @@ class BranchTerm:
     def parity(self) -> str:
         return "odd" if self.i % 2 else "even"
 
-    @property
+    @cached_property
     def weight(self) -> Fraction:
         return sl2_weight(self.sl2) + branch_model(self.l).conformal_weight(self.vir)
 
@@ -220,14 +221,15 @@ def branch_character(l: int, r: int, parity: Parity = "both", order: int = 20) -
 
 
 def lowest_space(l: int, r: int) -> tuple[Fraction, int]:
-    """(weight, dimension) of the lowest graded piece of M_r.
+    """(weight, dimension) of the lowest graded piece of M_r."""
+    return _lowest_space(branch_terms(l, r))
 
-    The weight is the minimum branch term weight; the dimension adds up the sl2
-    lowest-space dimensions i+1 over the minimizing branch terms.
-    """
-    weights = {t.i: t.weight for t in branch_terms(l, r)}
-    w = min(weights.values())
-    return w, sum(i + 1 for i, wi in weights.items() if wi == w)
+
+def _lowest_space(terms: list[BranchTerm]) -> tuple[Fraction, int]:
+    """The minimum weight of the branch terms, and the sum of the sl2
+    lowest-space dimensions i+1 over the terms that reach it."""
+    w = min(t.weight for t in terms)
+    return w, sum(t.i + 1 for t in terms if t.weight == w)
 
 
 def h_alpha_beta(alpha: int, beta: int, t: Fraction) -> Fraction:

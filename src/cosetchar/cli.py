@@ -321,7 +321,7 @@ def cmd_weights(args) -> tuple[str, int]:
     payload = []
     for r in rs:
         terms = affine.branch_terms(level, r)
-        w, dim = affine.lowest_space(level, r)
+        w, dim = affine._lowest_space(terms)
         payload.append(
             {
                 "level": level,

@@ -148,9 +148,9 @@ def ext_fuse(
     of constituents (indices 0 or 1) does not change the result.
     """
     picked = []
-    for lab, index in ((a, constituent_a), (b, constituent_b)):
-        if index not in (0, 1):
-            raise ValueError(f"constituent index must be 0 or 1, got {index!r}")
+    for lab, which in ((a, constituent_a), (b, constituent_b)):
+        if which not in (0, 1):
+            raise ValueError(f"constituent index must be 0 or 1, got {which!r}")
         pair = lab.constituents
         if pair[0] == pair[1]:
             warnings.warn(
@@ -158,7 +158,7 @@ def ext_fuse(
                 FixedPointFusionWarning,
                 stacklevel=2,
             )
-        picked.append(pair[index])
+        picked.append(pair[which])
     t1, t2 = picked
     return _induced(t1, t2) if t1 <= t2 else _induced(t2, t1)
 

@@ -144,17 +144,17 @@ class FracSeries:
     """Truncated series ``sum_(p, c) in terms c * q**(p/den)``.
 
     ``terms`` holds the nonzero ``int`` coefficients only, sorted by
-    position.  The series is exact for every exponent strictly below
-    ``order/den`` and nothing is known at or beyond that bound; exponents
-    strictly below ``lowest/den`` are exactly zero.  ``coeffs`` is the dense
-    view of slots ``lowest .. order-1`` (zeros included), derived on demand
-    for serialization and inspection.  Instances are immutable: assigning to
+    position; every other slot below the bound ``order/den`` is zero, and
+    nothing is known at or beyond it.  ``lowest`` (the first nonzero position,
+    or ``order`` for a zero series) and ``coeffs``, the dense view of slots
+    ``lowest .. order-1``, are derived on demand; the constructor's ``lowest``
+    is the position of ``coeffs[0]``.  Instances are immutable: assigning to
     or deleting a slot raises AttributeError, and all arithmetic returns new
     objects.  A coefficient or scalar that is not an integer raises
     TypeError, and so does an exponent that is not an int or a Fraction.
     """
 
-    __slots__ = ("den", "lowest", "order", "terms")
+    __slots__ = ("den", "order", "terms")
 
     def __init__(self, den: int, lowest: int, coeffs: Iterable[int]):
         den, lowest = index(den), index(lowest)
@@ -162,16 +162,14 @@ class FracSeries:
             raise ValueError(f"denominator must be >= 1, got {den}")
         values = [index(c) for c in coeffs]
         _set(self, "den", den)
-        _set(self, "lowest", lowest)
         _set(self, "order", lowest + len(values))
         _set(self, "terms", tuple((lowest + k, c) for k, c in enumerate(values) if c))
 
     @classmethod
-    def _from_terms(cls, den: int, lowest: int, order: int, pairs) -> "FracSeries":
+    def _from_terms(cls, den: int, order: int, pairs) -> "FracSeries":
         """Series from (position, coefficient) pairs with distinct positions."""
         out = object.__new__(cls)
         _set(out, "den", den)
-        _set(out, "lowest", lowest)
         _set(out, "order", order)
         _set(out, "terms", tuple(t for t in sorted(pairs) if t[1]))
         return out
@@ -187,11 +185,17 @@ class FracSeries:
         return Fraction(self.order, self.den)
 
     @property
+    def lowest(self) -> int:
+        """First nonzero position, or ``order`` for a zero series."""
+        return self.terms[0][0] if self.terms else self.order
+
+    @property
     def coeffs(self) -> tuple[int, ...]:
         """Dense coefficients of slots ``lowest .. order-1``."""
-        out = [0] * (self.order - self.lowest)
+        lo = self.lowest
+        out = [0] * (self.order - lo)
         for p, c in self.terms:
-            out[p - self.lowest] = c
+            out[p - lo] = c
         return tuple(out)
 
     # -- inspection ------------------------------------------------------
@@ -257,9 +261,8 @@ class FracSeries:
         d = gcd(self.den, self.order, *(p for p, _ in self.terms))
         if d == 1:
             return self
-        hi = self.order // d
         pairs = ((p // d, c) for p, c in self.terms)
-        return FracSeries._from_terms(self.den // d, -(-self.lowest // d), hi, pairs)
+        return FracSeries._from_terms(self.den // d, self.order // d, pairs)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -269,13 +272,12 @@ class FracSeries:
         d = lcm(self.den, other.den)
         fa, fb = d // self.den, d // other.den
         order = min(self.order * fa, other.order * fb)
-        lowest = min(self.lowest * fa, other.lowest * fb)
         acc = defaultdict(int)
         for f, terms in ((fa, self.terms), (fb, other.terms)):
             for p, c in terms:
                 if p * f < order:
                     acc[p * f] += c
-        return FracSeries._from_terms(d, lowest, order, acc.items())
+        return FracSeries._from_terms(d, order, acc.items())
 
     def __neg__(self) -> "FracSeries":
         return self * -1
@@ -295,17 +297,14 @@ class FracSeries:
         """
         if isinstance(other, int):
             pairs = [(p, c * other) for p, c in self.terms]
-            return FracSeries._from_terms(self.den, self.lowest, self.order, pairs)
+            return FracSeries._from_terms(self.den, self.order, pairs)
         if not isinstance(other, FracSeries):
             return NotImplemented
         d = lcm(self.den, other.den)
         fa, fb = d // self.den, d // other.den
         tb = [(j * fb, c) for j, c in other.terms]
         pos_b = [j for j, _ in tb]
-        # First possibly-nonzero position of each factor; with no nonzero term
-        # stored that is the truncation bound itself.
-        lo_a = (self.terms[0][0] if self.terms else self.order) * fa
-        lo_b = pos_b[0] if tb else other.order * fb
+        lo_a, lo_b = self.lowest * fa, other.lowest * fb
         # Unknown tail of one factor first pollutes the product at
         # order_a + lo_b (resp. order_b + lo_a); below that every Cauchy
         # convolution term is made of known coefficients.
@@ -318,7 +317,7 @@ class FracSeries:
                 i *= fa
                 for j, cb in islice(tb, bisect_left(pos_b, order - i)):
                     acc[i + j] += ca * cb
-        return FracSeries._from_terms(d, lo_a + lo_b, order, acc.items())
+        return FracSeries._from_terms(d, order, acc.items())
 
     __rmul__ = __mul__
 
@@ -327,7 +326,7 @@ class FracSeries:
     def __eq__(self, other) -> bool:
         """Equal iff the exactness bounds and all nonzero terms are the same.
 
-        ``lowest`` is not part of the value.  To compare series with
+        The lattice is not part of the value.  To compare series with
         different bounds on a prefix, use :func:`equal_through`.
         """
         if not isinstance(other, FracSeries):
@@ -339,11 +338,11 @@ class FracSeries:
 
     def to_json_dict(self) -> dict:
         # every zero slot shares one string: a fine lattice is mostly zeros
-        coeffs = ["0/1"] * (self.order - self.lowest)
+        lo = self.lowest
+        coeffs = ["0/1"] * (self.order - lo)
         for p, c in self.terms:
-            coeffs[p - self.lowest] = f"{c}/1"
-        return {"denominator": self.den, "lowest": self.lowest, "coeffs": coeffs,
-                "order": self.order}
+            coeffs[p - lo] = f"{c}/1"
+        return {"denominator": self.den, "lowest": lo, "coeffs": coeffs, "order": self.order}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FracSeries":
@@ -356,7 +355,7 @@ class FracSeries:
         order = index(d["order"])
         if order < dense.order:
             raise ValueError("order field below the stored coefficient range")
-        return cls._from_terms(dense.den, dense.lowest, order, dense.terms)
+        return cls._from_terms(dense.den, order, dense.terms)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -383,7 +382,7 @@ def monomial(c: int, num: int, den: int, order_terms: int) -> FracSeries:
         raise ValueError("den must be >= 1")
     if order_terms < 1:
         raise ValueError("order_terms must be >= 1")
-    return FracSeries._from_terms(den, num, num + order_terms, [(num, c)])
+    return FracSeries._from_terms(den, num + order_terms, [(num, c)])
 
 
 def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
@@ -400,7 +399,7 @@ def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     row = _euler(((sign, exponent),), n_terms)
-    return FracSeries._from_terms(1, 0, n_terms + 1, enumerate(row))
+    return FracSeries._from_terms(1, n_terms + 1, enumerate(row))
 
 
 @lru_cache(maxsize=32)
@@ -462,10 +461,9 @@ def _theta(
     """``sum_{n = residue mod modulus} weight(n) * q**(scale*n**2)`` exact below order.
 
     Each term sits at the integer position ``u*n**2`` on the lattice ``lcm`` of
-    the scale's and the bound's denominators; duplicate positions are summed,
-    and ``reduced`` moves the result to the coarsest lattice.  ``lowest`` is
-    the first term's slot even when its coefficient cancels (weights n and
-    -n).  An order that is not an int or a Fraction raises TypeError.
+    the scale's and the bound's denominators; duplicate positions are summed
+    (weights n and -n cancel), and ``reduced`` moves the result to the
+    coarsest lattice.  An order that is not an int or a Fraction raises TypeError.
     """
     order = Fraction(order, 1)
     if order < 1:
@@ -478,7 +476,7 @@ def _theta(
     for n in range(-top + (residue + top) % modulus, top + 1, modulus):
         if (p := u * n * n) < stop:
             acc[p] += weight(n)
-    return FracSeries._from_terms(den, min(acc, default=stop), stop, acc.items()).reduced()
+    return FracSeries._from_terms(den, stop, acc.items()).reduced()
 
 
 def theta_null(a: int, b: int, order: int) -> FracSeries:
@@ -537,17 +535,19 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
     and shared by every character with the same parts and order.  ``target``
     is the caller's h - c/24 + order: the result is exact through it and no
     further (``order_exponent == target + 1/den``).  A target that is not
-    exactly ``order`` levels above the theta sum's leading term raises
-    RuntimeError, so every build checks the caller's weight formula.
+    exactly ``order`` levels above the theta sum's leading term, or a theta
+    term off those levels, raises RuntimeError, so every build checks the
+    caller's weight formula and the numerator's shape.
 
     Everything happens on the lattice ``d = lcm`` of eta_den and the theta
-    denominators, in integers.  The Euler row has integer exponents, so the
-    product keeps each residue class of positions mod d: per class, every
-    theta term adds its multiple of the Euler row into one dense row (shift
-    and add).  ``q^(-1/eta_den)`` moves every position, ``lowest`` and
+    denominators, in integers.  The theta terms lie whole levels apart (the
+    Virasoro numerator's two sums differ by integers; the others are one sum)
+    and so do the Euler row's, so the product is one dense row of
+    ``order + 1`` levels: each theta term adds its multiple of the Euler row,
+    shifted by its level.  ``q^(-1/eta_den)`` moves every position and
     ``order`` down by ``d/eta_den`` in the same pass.  The result has the same
-    den, lowest and terms as the product of the theta numerator, the Euler
-    series and a monomial q^(-1/eta_den), cut after target.
+    den and terms as the product of the theta numerator, the Euler series and
+    a monomial q^(-1/eta_den), cut after target.
 
     Cached per argument set (a module-level ``lru_cache``), so a command
     builds each character once and every caller shares the immutable series.
@@ -566,15 +566,12 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
     lo = terms[0][0]
     shift = d // eta_den
     stop = floor(target * d) + shift + 1
-    if stop != lo + order * d + 1 or stop > bound * d:
+    if stop != lo + order * d + 1 or stop > bound * d or any((p - lo) % d for p, _ in terms):
         raise RuntimeError("internal truncation bookkeeping error")
     euler = _euler(euler_parts, order)
-    pairs = []
-    for r, row_terms in _classes(terms, 1, d):
-        k0 = row_terms[0][0]
-        row = [0] * ((stop - 1 - r) // d - k0 + 1)
-        for k, c in row_terms:
-            row[k - k0 :] = map(add, row[k - k0 :], map(c.__mul__, euler))
-        base = r + d * k0 - shift
-        pairs += [(base + d * i, c) for i, c in enumerate(row)]
-    return FracSeries._from_terms(d, lo - shift, stop - shift, pairs)
+    row = [0] * (order + 1)
+    for p, c in terms:
+        k = (p - lo) // d
+        row[k:] = map(add, row[k:], map(c.__mul__, euler))
+    pairs = [(lo - shift + d * k, c) for k, c in enumerate(row)]
+    return FracSeries._from_terms(d, stop - shift, pairs)

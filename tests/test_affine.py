@@ -24,7 +24,7 @@ from cosetchar.affine import (
 )
 from cosetchar.cli import MAX_PQ
 from cosetchar.minimal import KacLabel, MinimalModel
-from cosetchar.series import FracSeries, _euler, equal_through, monomial
+from cosetchar.series import FracSeries, _euler, equal_through, monomial, theta_null
 
 F = Fraction
 L = KacLabel
@@ -364,6 +364,18 @@ def test_character_refuses_a_target_off_the_theta_route(monkeypatch, build, step
     kwargs = {**kwargs, "target": kwargs["target"] + levels + F(steps, good.den)}
     with pytest.raises(RuntimeError, match="bookkeeping"):
         series._character(*args, **kwargs)
+
+
+@pytest.mark.parametrize("order", [0, 3, 12])
+def test_character_refuses_a_numerator_of_two_classes(order):
+    # theta_null(1, 0) sits on whole levels and theta_null(2, 1) at 1/8 above
+    # them: the window check passes on the leading term q^0, but the sum is
+    # not one integer-spaced row, and is refused
+    args = dict(euler_parts=((-1, -1),), eta_den=24, target=order - F(1, 24), order=order)
+    one = ((1, theta_null, (1, 0)),)
+    assert series._character(one, **args).leading_term() == (F(-1, 24), 1)
+    with pytest.raises(RuntimeError, match="bookkeeping"):
+        series._character(one + ((1, theta_null, (2, 1)),), **args)
 
 
 # --- supercharacter: the Andrews-Gordon product route -----------------------

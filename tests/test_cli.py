@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetchar import cli
+from cosetchar import affine, cli
 from cosetchar.cli import MAX_LEVEL, MAX_PQ, main
 
 
@@ -173,6 +173,20 @@ def test_weights_level_two(capsys):
     data = json.loads(out)
     assert data[0]["lowest_weight"] == "1/7"
     assert data[0]["lowest_dimension"] == 3
+
+
+@pytest.mark.parametrize("argv, terms", [(("--level", "12"), 13 * 13),
+                                         (("--level", "12", "--r", "5"), 13)])
+def test_weights_evaluates_each_branch_weight_once(capsys, monkeypatch, argv, terms):
+    # one BranchTerm per summand, whose weight both its JSON and the lowest
+    # space read; each weight calls sl2_weight once
+    calls = []
+    real = affine.sl2_weight
+    monkeypatch.setattr(affine, "sl2_weight", lambda lab: calls.append(lab) or real(lab))
+    for fmt in ("json", "csv", "text"):
+        calls.clear()
+        assert run(capsys, "weights", *argv, "--format", fmt)[0] == 0
+        assert len(calls) == terms, fmt
 
 
 def test_singular_direct_value(capsys):

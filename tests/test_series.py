@@ -47,7 +47,7 @@ def series_from_terms(terms, bound):
     if any(c.denominator != 1 for c in acc.values()):
         raise ValueError("series coefficients must be integers")
     pairs = [(p, c.numerator) for p, c in acc.items()]
-    return FracSeries._from_terms(d, min(acc, default=order), order, pairs).reduced()
+    return FracSeries._from_terms(d, order, pairs).reduced()
 
 
 @cache
@@ -412,7 +412,7 @@ def _theta_reference(a, b, c, bound):
 def test_theta_integer_positions_match_fraction_route():
     # the integer lattice build gives the same den, lowest, order, terms and
     # coefficient types as series_from_terms, also with Fraction bounds and
-    # with a lowest slot whose weights n and -n cancel
+    # with a first slot whose weights n and -n cancel
     def key(s):
         return s.den, s.lowest, s.order, s.terms, [type(v) for _, v in s.terms]
 
@@ -424,7 +424,8 @@ def test_theta_integer_positions_match_fraction_route():
                 for c in (1, F(1, 2), F(5, 3)):
                     got = weighted_theta(a, b, c, bound)
                     assert key(got) == key(_theta_reference(a, b, c, bound)), (a, b, c, bound)
-                    cancelled += got.lowest < (got.terms[0][0] if got.terms else got.order)
+                    first = min(F(c) * (a * m + b) ** 2 / a**2 for m in range(-30, 31))
+                    cancelled += first < bound and got.coeff(first) == 0
     assert cancelled
 
 
@@ -603,6 +604,34 @@ def test_json_writes_only_nonzero_slots(den, lowest, coeffs):
                 "coeffs": [f"{c.numerator}/{c.denominator}" if c else "0/1" for c in s.coeffs],
                 "order": s.order}
     assert s.dumps() == json.dumps(per_slot)
+
+
+@given(
+    a=frac_series(),
+    b=frac_series(),
+    k=small_ints,
+    theta=st.tuples(st.integers(1, 8), st.integers(-16, 16), st.integers(1, 12)),
+    pad=st.integers(0, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_lowest_is_the_first_nonzero_position(a, b, k, theta, pad):
+    # lowest is derived, whatever rule built the series: the first nonzero
+    # position, or order for a zero series; coeffs and the JSON start there
+    ta, tb, bound = theta
+    blob = a.to_json_dict()
+    padded = {**blob, "lowest": blob["lowest"] - pad, "coeffs": ["0/1"] * pad + blob["coeffs"]}
+    for s in (
+        a, a + b, a - b, a * b, a * k, k * a, -a, a.reduced(), (a * b).reduced(),
+        monomial(k, ta, 4, bound), theta_null(ta, tb, bound),
+        weighted_theta(ta, tb, F(ta, 2), bound), weighted_theta(2 * ta, ta, 1, bound),
+        theta_null(ta, tb, bound) - theta_null(ta, tb, bound),
+        FracSeries.loads(a.dumps()), FracSeries.from_json_dict(padded),
+    ):
+        first = min((p for p, _ in s.terms), default=s.order)
+        assert s.lowest == first == s.to_json_dict()["lowest"]
+        assert len(s.coeffs) == s.order - first
+        assert s.coeffs[:1] != (0,)
+        assert all(s.coeff(F(p, s.den)) == 0 for p in range(first - 3, first))
 
 
 @given(a=frac_series(), b=frac_series())
@@ -856,7 +885,11 @@ class DenseSeries:
     """The dense kernel: a Fraction in every slot of the 1/den lattice."""
 
     def __init__(self, den, lowest, coeffs):
-        self.den, self.lowest, self.coeffs = den, lowest, [F(c) for c in coeffs]
+        # lowest is the position of coeffs[0]; leading zero slots are dropped,
+        # so it ends at the first nonzero position, or at order for zero
+        coeffs = [F(c) for c in coeffs]
+        skip = next((k for k, c in enumerate(coeffs) if c), len(coeffs))
+        self.den, self.lowest, self.coeffs = den, lowest + skip, coeffs[skip:]
 
     @property
     def order(self):
