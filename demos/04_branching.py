@@ -10,10 +10,8 @@ from cosetchar import (
     branch_character,
     branch_terms,
     lowest_space,
-    osp_central_charge,
     osp_character,
     osp_modules,
-    osp_weight,
 )
 from cosetchar.series import equal_through
 
@@ -33,7 +31,7 @@ for l in (1, 2):
 for r in (1, 3, 5):
     total = branch_character(2, r, "both", 15)
     closed = osp_character(OspLabel(2, r), 15)
-    top = osp_weight(2, r) - osp_central_charge(2) / 24 + 15
+    top = OspLabel(2, r).lead + 15
     print(f"level 2, M_{r}: branching route == closed form:", equal_through(total, closed, top))
 
 # the even part of the level-1 vacuum, first few coefficients

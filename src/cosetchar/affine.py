@@ -63,6 +63,11 @@ class OspLabel:
         if index(self.r) % 2 == 0 or not 1 <= self.r <= 2 * self.l + 1:
             raise ValueError(f"r must be odd in 1..{2 * self.l + 1}, got {self.r}")
 
+    @property
+    def lead(self) -> Fraction:
+        """h - c/24: the exponent of the leading term of the character of M_r."""
+        return osp_weight(self.l, self.r) - osp_central_charge(self.l) / 24
+
 
 @dataclass(frozen=True)
 class Sl2Label:
@@ -141,7 +146,7 @@ def osp_character(lab: OspLabel, order: int = 20) -> FracSeries:
         ((1, weighted_theta, (2 * a, lab.r, Fraction(a, 2))),),
         euler_parts=((1, 2), (-1, -3)),
         eta_den=24,
-        target=osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24 + order,
+        target=lab.lead + order,
         order=order,
     )
 
@@ -162,9 +167,8 @@ def _osp_supercharacter(lab: OspLabel, order: int) -> FracSeries:
         if n % a not in (0, (a - lab.r) // 2, (a + lab.r) // 2):
             for m in range(n, order + 1):
                 row[m] += row[m - n]
-    lead = osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24
-    sign, den = (-1) ** ((lab.r - 1) // 2), lead.denominator
-    return FracSeries(1, 0, row) * monomial(sign, lead.numerator, den, order * den + 1)
+    sign, den = (-1) ** ((lab.r - 1) // 2), lab.lead.denominator
+    return FracSeries(1, 0, row) * monomial(sign, lab.lead.numerator, den, order * den + 1)
 
 
 def sl2_central_charge(l: int) -> Fraction:
@@ -214,8 +218,7 @@ def branch_character(l: int, r: int, parity: Parity = "both", order: int = 20) -
     pieces = [sl2_character(term.sl2, order) * model.character(term.vir, order)
               for term in branch_terms(l, r, parity)]
     total = sum(pieces[1:], pieces[0])
-    target = osp_weight(l, r) - osp_central_charge(l) / 24 + order
-    if total.order_exponent <= target:
+    if total.order_exponent <= OspLabel(l, r).lead + order:
         raise RuntimeError("internal truncation bookkeeping error")
     return total
 

@@ -13,6 +13,12 @@ refused.  argparse refuses an undeclared or abbreviated flag itself; every
 other refusal, a size cap or an unwritable ``--output`` too, is a
 ``ValueError`` that ``main`` prints as one ``error:`` line, returning 2.
 
+Every CSV form, the verification reports' tables too, is written by
+``_csv``: one line of comma-joined fields per row.  The
+integer tuples ``--a``/``--b`` (R,S) and ``--perturb`` (ROW:COL:DELTA) are
+read by ``_ints``.  A handler returns its text without the final newline;
+``main`` appends it.
+
 The grammar is built once per process, when this module is imported, and
 never changes; each ``main`` call parses into a fresh namespace.  The
 handler of subcommand ``name`` is the module function
@@ -130,25 +136,31 @@ _PARSER = build_parser()
 # -- per-command renderers -----------------------------------------------------
 
 
-def _parse_label(text: str) -> KacLabel:
+def _ints(text: str, sep: str, count: int, refusal: str) -> tuple[int, ...]:
+    """The ``count`` integers that ``sep`` separates in ``text``; ValueError(refusal) if not."""
     try:
-        r, s = (int(x) for x in text.split(","))
-    except Exception:
-        raise ValueError(f"label {text!r} is not of the form R,S") from None
-    return KacLabel(r, s)
+        values = tuple(map(int, text.split(sep)))
+        if len(values) == count:
+            return values
+    except ValueError:
+        pass
+    raise ValueError(refusal)
+
+
+def _csv(rows) -> str:
+    """The CSV form of every command: one line of comma-joined fields per row."""
+    return "\n".join(",".join(map(str, row)) for row in rows)
 
 
 def _series_output(series, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(series.to_json_dict())
+    terms = [(_rat(e), _rat(c)) for e, c in series.nonzero_terms()]
     if fmt == "csv":
-        lines = ["exponent,coefficient"]
-        for e, c in series.nonzero_terms():
-            lines.append(f"{_rat(e)},{_rat(c)}")
-        return "\n".join(lines) + "\n"
-    lines = [f"{_rat(c)} * q^({_rat(e)})" for e, c in series.nonzero_terms()]
+        return _csv([("exponent", "coefficient"), *terms])
+    lines = [f"{c} * q^({e})" for e, c in terms]
     lines.append(f"exact below q^({_rat(series.order_exponent)})")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def cmd_kac_table(args) -> tuple[str, int]:
@@ -158,7 +170,7 @@ def cmd_kac_table(args) -> tuple[str, int]:
         return json.dumps({"p": model.p, "q": model.q,
                            "central_charge": _rat(model.central_charge()), "rows": rows}), 0
     if args.format == "csv":
-        return "\n".join(",".join(row) for row in rows), 0
+        return _csv(rows), 0
     width = max(len(w) for row in rows for w in row)
     lines = [f"r={r}: " + " ".join(w.rjust(width) for w in row)
              for r, row in enumerate(rows, start=1)]
@@ -184,16 +196,9 @@ def cmd_char(args) -> tuple[str, int]:
     return _series_output(series, args.format), 0
 
 
-def _parse_perturb(text: str) -> tuple[int, int, int]:
-    try:
-        row, col, delta = (int(x) for x in text.split(":"))
-    except Exception:
-        raise ValueError(f"--perturb {text!r} is not ROW:COL:DELTA") from None
-    return row, col, delta
-
-
 def cmd_verify(args) -> tuple[str, int]:
-    perturb = _parse_perturb(args.perturb) if args.perturb else None
+    perturb = (_ints(args.perturb, ":", 3, f"--perturb {args.perturb!r} is not ROW:COL:DELTA")
+               if args.perturb else None)
     if perturb and args.which not in ("decomposition", "all"):
         raise ValueError("--perturb only applies to the decomposition check")
     if args.which == "central-charge":
@@ -214,14 +219,18 @@ def cmd_verify(args) -> tuple[str, int]:
 def _reports_output(reports, fmt: str, candidates: bool = False) -> tuple[str, int]:
     """Render verification reports; the text form lists candidate rows on request.
 
-    Exit code 1 when any report fails, with its first mismatch on stderr.
+    The csv form has one table per report, from its JSON rows, and a blank
+    line between tables.  Exit code 1 when any report fails, with its first
+    mismatch on stderr.
     """
     passed = all(r.passed for r in reports)
     if fmt == "json":
         dicts = [r.to_json_dict() for r in reports]
         text = json.dumps(dicts[0] if len(dicts) == 1 else dicts)
     elif fmt == "csv":
-        text = "\n".join(r.to_csv() for r in reports)
+        tables = ([(f'"{row["label"]}"', *row["coeffs"]) for row in r.to_json_dict()["rows"]]
+                  for r in reports)
+        text = "\n\n".join(_csv([("label", *range(max(map(len, t)) - 1)), *t]) for t in tables)
     else:
         lines = []
         for r in reports:
@@ -231,7 +240,7 @@ def _reports_output(reports, fmt: str, candidates: bool = False) -> tuple[str, i
                     lines.append(f"  {label}: {_rat(w1)}, {_rat(w2)}")
             for note in r.notes:
                 lines.append(f"  note: {note}")
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(lines)
     if not passed:
         for r in reports:
             bad = r.first_mismatch()
@@ -257,8 +266,8 @@ def cmd_fusion(args) -> tuple[str, int]:
     if args.table:
         pairs = itertools.product(labels(), repeat=2)
     elif args.a and args.b:
-        la, lb = _parse_label(args.a), _parse_label(args.b)
-        pairs = [(make(*la), make(*lb))]
+        pairs = [tuple(make(*_ints(x, ",", 2, f"label {x!r} is not of the form R,S"))
+                       for x in (args.a, args.b))]
     else:
         raise ValueError(f"fusion {args.scope} needs --a and --b (or --table)")
     return _fusion_output(extension.fusion_entries(fuse, pairs), args.format), 0
@@ -268,14 +277,9 @@ def _fusion_output(entries: list[dict], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(entries)
     if fmt == "csv":
-        lines = ["a_r,a_s,b_r,b_s,r,s,mult"]
-        for e in entries:
-            for term in e["result"]:
-                lines.append(
-                    f"{e['a'][0]},{e['a'][1]},{e['b'][0]},{e['b'][1]},"
-                    f"{term['r']},{term['s']},{term['mult']}"
-                )
-        return "\n".join(lines) + "\n"
+        return _csv(["a_r a_s b_r b_s r s mult".split(),
+                     *((*e["a"], *e["b"], t["r"], t["s"], t["mult"])
+                       for e in entries for t in e["result"])])
     lines = []
     for e in entries:
         rhs = " + ".join(
@@ -283,7 +287,7 @@ def _fusion_output(entries: list[dict], fmt: str) -> str:
             for t in e["result"]
         )
         lines.append(f"({e['a'][0]},{e['a'][1]}) x ({e['b'][0]},{e['b'][1]}) = {rhs or '0'}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def cmd_classify(args) -> tuple[str, int]:
@@ -304,15 +308,13 @@ def cmd_classify(args) -> tuple[str, int]:
     if args.format == "json":
         return json.dumps(payload), 0
     if args.format == "csv":
-        lines = ["kind,r,s"]
-        lines += [f"orbit,{o.r},{o.s}" for o in orbits]
-        lines += [f"fixed,{f.r},{f.s}" for f in fixed]
-        return "\n".join(lines) + "\n", 0
+        return _csv([("kind", "r", "s"), *(("orbit", o.r, o.s) for o in orbits),
+                     *(("fixed", f.r, f.s) for f in fixed)]), 0
     lines = [f"orbit modules ({len(orbits)}):"]
     lines += [f"  Ext({o.r},{o.s}) = V{o.constituents[0]} + V{o.constituents[1]}" for o in orbits]
     lines.append(f"fixed points ({len(fixed)}), two structures each:")
     lines += [f"  V({f.r},{f.s})" for f in fixed]
-    return "\n".join(lines) + "\n", 0
+    return "\n".join(lines), 0
 
 
 def cmd_weights(args) -> tuple[str, int]:
@@ -334,14 +336,9 @@ def cmd_weights(args) -> tuple[str, int]:
     if args.format == "json":
         return json.dumps(payload), 0
     if args.format == "csv":
-        lines = ["level,r,i,vir_r,vir_s,parity,weight"]
-        for entry in payload:
-            for t in entry["terms"]:
-                lines.append(
-                    f"{entry['level']},{entry['r']},{t['sl2']['i']},"
-                    f"{t['vir']['r']},{t['vir']['s']},{t['parity']},{t['weight']}"
-                )
-        return "\n".join(lines) + "\n", 0
+        return _csv(["level r i vir_r vir_s parity weight".split(),
+                     *((e["level"], e["r"], t["sl2"]["i"], t["vir"]["r"], t["vir"]["s"],
+                        t["parity"], t["weight"]) for e in payload for t in e["terms"])]), 0
     lines = []
     for entry in payload:
         lines.append(
@@ -353,7 +350,7 @@ def cmd_weights(args) -> tuple[str, int]:
                 f"  L({entry['level']},{t['sl2']['i']}) x V({t['vir']['r']},{t['vir']['s']})"
                 f" [{t['parity']}] weight {t['weight']}"
             )
-    return "\n".join(lines) + "\n", 0
+    return "\n".join(lines), 0
 
 
 def cmd_singular(args) -> tuple[str, int]:
@@ -374,7 +371,7 @@ def cmd_singular(args) -> tuple[str, int]:
         if args.format == "json":
             return json.dumps({"alpha": args.alpha, "beta": args.beta,
                                "t": _rat(t), "value": _rat(value)}), 0
-        return f"{_rat(value)}\n", 0
+        return _rat(value), 0
     return _reports_output([coset.singular_ladder(args.order)], args.format, candidates=True)
 
 
@@ -391,8 +388,7 @@ def main(argv=None) -> int:
             if (ns.get(name) or 0) > top:
                 raise ValueError(f"{name} must not exceed {top}")
         text, code = handler(args)
-        if not text.endswith("\n"):
-            text += "\n"
+        text += "\n"
         if args.output is None:
             sys.stdout.write(text)
         else:

@@ -25,6 +25,9 @@ decomposition applies it after any perturbation, the parity refinement to
 each parity, and the singular ladder reads the unperturbed comparisons at
 the columns of its candidates.  An order that is not an integer raises
 TypeError before the cached table is read.
+
+A ``VerificationReport`` renders itself only as JSON (``to_json_dict``,
+``dumps``); the command line builds its text and CSV forms.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ __all__ = [
 COSET_MODEL = MinimalModel(10, 7)
 
 # leading exponent of the tensor-square character, twice h - c/24 of L(1,0): -1/30
-BASE_EXPONENT = 2 * (osp_weight(1, 1) - osp_central_charge(1) / 24)
+BASE_EXPONENT = 2 * OspLabel(1, 1).lead
 
 
 @dataclass(frozen=True)
@@ -128,16 +131,6 @@ class VerificationReport:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        width = max((len(c) for _, c in self.rows), default=0)
-        head = "label," + ",".join(str(k) for k in range(width))
-        lines = [head]
-        for label, coeffs in self.rows:
-            lines.append(
-                '"' + label + '",' + ",".join(str(_json_rat(c)) for c in coeffs)
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _json_rat(c: int | Fraction):
@@ -290,7 +283,7 @@ def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationRep
             pairs = ((2 * e, c + d), (2 * o, c - d), (e + o, c))
             comparisons += [Comparison(x, lhs, rhs) for lhs, rhs in pairs]
     for lab, part in parts.items():
-        lead = osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24
+        lead = lab.lead
         rows = (s.coeff_row(lead, order + 1) for s in (part["even"], part["odd"], schs[lab]))
         comparisons += [Comparison(lead + k, e - o, d) for k, (e, o, d) in enumerate(zip(*rows))]
     return VerificationReport(

@@ -346,7 +346,9 @@ class FracSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FracSeries":
-        """Series from ``to_json_dict``; each coefficient must be an integer in ``T_FORM``."""
+        """Series from ``to_json_dict``; ``coeffs`` must list integers in ``T_FORM``."""
+        if not isinstance(d["coeffs"], list):
+            raise TypeError("series coeffs must be a JSON array")
         forms = [T_FORM.fullmatch(c) for c in d["coeffs"]]  # before any parse
         pairs = [(int(m[1]), int(m[2] or 1)) if m else (0, 0) for m in forms]
         if any(den == 0 or num % den for num, den in pairs):
@@ -427,19 +429,19 @@ def _euler(parts: tuple[tuple[int, int], ...], n: int) -> tuple[int, ...]:
         (a, ((j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(1, 2 * r))),
         (x - z - 3 * a, ((j * (3 * j - 1) // 2, (-1) ** abs(j)) for j in range(-r, r))),
     ):
-        terms = [(p, c) for p, c in series if 0 < p <= n] if power else ()
-        for i, bit in enumerate(f"{abs(power):b}"[::-1]):  # terms: series**(2**i)
+        terms = [(0, 1), *((p, c) for p, c in series if 0 < p <= n)] if power else ()
+        for i, bit in enumerate(f"{abs(power):b}"[::-1]):  # terms: series**(2**i), unit first
             if i:
                 square = _times(_times([1] + [0] * n, terms), terms)
-                terms = [(p, c) for p, c in enumerate(square) if p and c]
+                terms = [(p, c) for p, c in enumerate(square) if c]
             if bit == "1":
-                row = _times(row, terms) if power > 0 else _over(row, terms)
+                row = _times(row, terms) if power > 0 else _over(row, terms[1:])
     return tuple(row)
 
 
 def _times(row: list[int], terms) -> list[int]:
-    """``row * (1 + sum c q^p)`` over ``(p, c)`` in terms, by shift and add."""
-    out = row[:]
+    """``row * sum c q^p`` over ``(p, c)`` in terms, by shift and add, cut at ``len(row)``."""
+    out = [0] * len(row)
     for p, c in terms:
         out[p:] = map(add, out[p:], map(c.__mul__, row))
     return out
@@ -568,10 +570,6 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
     stop = floor(target * d) + shift + 1
     if stop != lo + order * d + 1 or stop > bound * d or any((p - lo) % d for p, _ in terms):
         raise RuntimeError("internal truncation bookkeeping error")
-    euler = _euler(euler_parts, order)
-    row = [0] * (order + 1)
-    for p, c in terms:
-        k = (p - lo) // d
-        row[k:] = map(add, row[k:], map(c.__mul__, euler))
+    row = _times(_euler(euler_parts, order), [((p - lo) // d, c) for p, c in terms])
     pairs = [(lo - shift + d * k, c) for k, c in enumerate(row)]
     return FracSeries._from_terms(d, stop - shift, pairs)

@@ -153,6 +153,20 @@ def test_fusion_ext_refuses_positionals(capsys, positional):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("fusion", "vir", "10", "7", "--a", "1,2,3", "--b", "1,1"),
+     "label '1,2,3' is not of the form R,S"),
+    (("fusion", "vir", "10", "7", "--a", "1", "--b", "1,1"), "label '1' is not of the form R,S"),
+    (("verify", "decomposition", "--perturb", "1:2"), "--perturb '1:2' is not ROW:COL:DELTA"),
+    (("verify", "decomposition", "--perturb", "1:2:3:4"),
+     "--perturb '1:2:3:4' is not ROW:COL:DELTA"),
+    (("verify", "decomposition", "--perturb", "::"), "--perturb '::' is not ROW:COL:DELTA"),
+    (("verify", "all", "--perturb", "0:0:1.5"), "--perturb '0:0:1.5' is not ROW:COL:DELTA"),
+])
+def test_malformed_integer_tuple_is_refused_in_one_line(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
 def test_fusion_invalid_label(capsys):
     code, _, err = run(capsys, "fusion", "vir", "10", "7", "--a", "9,1", "--b", "1,1")
     assert code == 2

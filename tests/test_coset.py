@@ -30,7 +30,7 @@ from cosetchar.affine import (
     osp_weight,
 )
 from cosetchar import affine, coset, minimal, series
-from cosetchar.cli import MAX_ORDER, main
+from cosetchar.cli import MAX_ORDER, _reports_output, main
 from cosetchar.minimal import MinimalModel
 from cosetchar.series import euler_product, monomial, theta_null, weighted_theta
 
@@ -352,8 +352,9 @@ def test_report_json_schema():
 
 
 def test_report_csv_mirror():
-    text = verify_decomposition(3).to_csv()
-    lines = text.strip().split("\n")
+    text, code = _reports_output([verify_decomposition(3)], "csv")
+    assert code == 0
+    lines = text.split("\n")
     assert lines[0] == "label,0,1,2,3"
     assert lines[1] == '"ch[L(2,0)]*ch[V(1,1)]",1,5,19,48'
     assert lines[-1] == '"column sums",1,10,43,132'
@@ -448,8 +449,9 @@ def test_parity_decomposition_over_all_candidates(order):
 
 
 # SHA-256 (first 16 hex digits) of run_all's reports, plain and with the last
-# summand entry lowered by 1: every report's dumps(), every report's to_csv(),
-# and exit code, stdout and stderr of `verify all --format text`
+# summand entry lowered by 1: every report's dumps(), the csv form of the
+# reports with the final newline that main appends, and exit code, stdout and
+# stderr of `verify all --format text`
 RUN_ALL_SHA256 = {
     (0, False): ("c5b154dac1021e92", "f6d40e4eea5585a1", "45bd5f92a8cc07fd"),
     (0, True): ("047e833554d7d1d8", "d5f537b728059cb3", "d516e82575463a67"),
@@ -472,7 +474,7 @@ def test_run_all_outputs_are_pinned(order, perturbed):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    forms = ("\n".join(r.dumps() for r in reports), "\n".join(r.to_csv() for r in reports),
+    forms = ("\n".join(r.dumps() for r in reports), _reports_output(reports, "csv")[0] + "\n",
              f"exit {code}\n{out.getvalue()}{err.getvalue()}")
     digests = tuple(sha256(f.encode()).hexdigest()[:16] for f in forms)
     assert digests == RUN_ALL_SHA256[order, perturbed]

@@ -265,6 +265,13 @@ def test_json_load_refuses_a_coefficient_that_is_not_a_string(bad):
         FracSeries.loads(json.dumps({"denominator": 1, "lowest": 0, "coeffs": [bad], "order": 1}))
 
 
+@pytest.mark.parametrize("coeffs", ["12", "1/1", {"0": "1/1"}, 12, None], ids=repr)
+def test_json_load_refuses_coeffs_that_are_not_an_array(coeffs):
+    # a string was read as a list of one-digit coefficients: "12" as 1 + 2q
+    with pytest.raises(TypeError):
+        FracSeries.loads(json.dumps({"denominator": 1, "lowest": 0, "coeffs": coeffs, "order": 2}))
+
+
 # --- euler_product ---------------------------------------------------------
 
 def test_euler_product_partition_numbers():
