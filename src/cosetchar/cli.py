@@ -16,8 +16,9 @@ other refusal, a size cap or an unwritable ``--output`` too, is a
 Every CSV form, the verification reports' tables too, is written by
 ``_csv``: one line of comma-joined fields per row.  The
 integer tuples ``--a``/``--b`` (R,S) and ``--perturb`` (ROW:COL:DELTA) are
-read by ``_ints``.  A handler returns its text without the final newline;
-``main`` appends it.
+read by ``_ints``, each field in the integer form of ``T_FORM``; an empty
+``--perturb`` is refused like any other malformed one.  A handler returns
+its text without the final newline; ``main`` appends it.
 
 The grammar is built once per process, when this module is imported, and
 never changes; each ``main`` call parses into a fresh namespace.  The
@@ -137,12 +138,16 @@ _PARSER = build_parser()
 
 
 def _ints(text: str, sep: str, count: int, refusal: str) -> tuple[int, ...]:
-    """The ``count`` integers that ``sep`` separates in ``text``; ValueError(refusal) if not."""
+    """The ``count`` integers that ``sep`` separates in ``text``; ValueError(refusal) if not.
+
+    Each field is ``T_FORM`` without its /DEN: an optional sign, then ASCII
+    digits, with no space, ``_`` or other digit around or inside.
+    """
+    forms = [T_FORM.fullmatch(field) for field in text.split(sep)]
     try:
-        values = tuple(map(int, text.split(sep)))
-        if len(values) == count:
-            return values
-    except ValueError:
+        if len(forms) == count and all(m and m[2] is None for m in forms):
+            return tuple(int(m[1]) for m in forms)
+    except ValueError:  # more digits than int() reads
         pass
     raise ValueError(refusal)
 
@@ -198,7 +203,7 @@ def cmd_char(args) -> tuple[str, int]:
 
 def cmd_verify(args) -> tuple[str, int]:
     perturb = (_ints(args.perturb, ":", 3, f"--perturb {args.perturb!r} is not ROW:COL:DELTA")
-               if args.perturb else None)
+               if args.perturb is not None else None)
     if perturb and args.which not in ("decomposition", "all"):
         raise ValueError("--perturb only applies to the decomposition check")
     if args.which == "central-charge":

@@ -1,16 +1,16 @@
 """Exact truncated formal series in a fractional power of q, with int coefficients.
 
-A :class:`FracSeries` stores only its nonzero terms, as sorted
-``(position, coefficient)`` pairs on the exponent lattice ``(1/den)Z``.
-Exponents are fractional, coefficients are ``int``: every series in this
-package is a graded dimension.  Every operation tracks the largest exponent
-bound below which its result is still exact, so a coefficient can never
-silently degrade into garbage: asking for one at or beyond the bound raises
-instead of returning zero.  A product never multiplies or packs a term that
-cannot land below its bound.  Small products loop over pairs of terms; large
-ones pack each residue class of each factor into one big ``int`` and let a
-single multiply do the convolution (Kronecker substitution), discarding the
-slots past the bound.
+A :class:`FracSeries` on the exponent lattice ``(1/den)Z`` stores one dense
+row of ``int`` coefficients (every series here is a graded dimension),
+``row[k]`` at position ``lowest + step*k``, from the first nonzero term to the
+last.  ``step`` is the gcd of ``den`` and the spacings of the nonzero terms,
+so every series the package builds holds one entry per whole level.  Every
+operation tracks the largest exponent bound below which its result is still
+exact: asking for a coefficient at or beyond it raises instead of returning
+zero.  A coefficient read is a slice of the row.  A product puts both rows on
+one step, never multiplies or packs an entry that cannot land below its
+bound, and multiplies short rows by a loop over nonzero entries, long ones
+as two packed ``int``s (Kronecker substitution).
 
 The module also provides the handful of special series every character in
 this package is assembled from: plain monomial prefactors, Euler products
@@ -21,7 +21,8 @@ affine characters share: theta numerator times one combined Euler factor (one
 cached ``_euler`` row of ints, from sparse theta-type series), shifted by
 ``q^(-1/24)`` or ``q^(-1/8)``, exact through h - c/24 + order and no further.
 It runs in one integer pass, each theta term shifting and adding the Euler
-row, and is cached per argument set, so a command builds each character once.
+row, keeps the row it built as the character's row, and is cached per
+argument set, so a command builds each character once.
 ``==`` is strict: equal series have the same exactness bound and nonzero terms.
 :func:`equal_through` compares two series of any bounds through a given
 exponent, which both must know.
@@ -31,11 +32,9 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
-from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice
+from functools import lru_cache, reduce
+from itertools import compress
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import add, index, itemgetter, mul
 from typing import Iterable, Iterator
@@ -50,15 +49,16 @@ __all__ = [
 ]
 
 
-# A product runs the pair loop while its smaller factor has fewer nonzero
-# terms than this.  That count bounds the pairs summed into one product
-# coefficient, while packing costs about the same per slot whatever the
-# count.  The products that reach this choice are character times character,
-# in coset and in affine.branch_character (characters themselves are built
-# without __mul__).  On the seven products of the decomposition check the
-# two break even at about 20 terms a factor: the pair loop wins at 16 and
-# 18, the packed product at 24.
-_KRONECKER_MIN_TERMS = 20
+# A product runs the pair loop while its shorter row, cut to the entries that
+# can land below the product's bound, has fewer entries than this.  That
+# length bounds the pairs summed into one product coefficient, while packing
+# costs about the same per entry whatever the length.  The products that reach
+# this choice are character times character, in coset and in
+# affine.branch_character (characters themselves are built without __mul__).
+# On the seven products of the decomposition check, with rows of order + 1
+# entries, the two break even at about 8 entries: the pair loop wins at 6 and
+# below, the packed product at 9 and above (best of 200, Python 3.11).
+_KRONECKER_MIN_TERMS = 8
 
 # the one form of a rational read from text (a JSON coefficient, the CLI's --t):
 # an integer or NUM/DEN in ASCII digits.  Fraction would also read an exponent
@@ -66,74 +66,48 @@ _KRONECKER_MIN_TERMS = 20
 T_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _classes(terms, f: int, d: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Terms at positions ``p*f`` grouped by residue r mod d.
-
-    Each class is ``(r, [(k, c), ...])`` with position ``r + d*k``, sorted by k.
-    """
-    rows = defaultdict(list)
-    for p, c in terms:
-        k, r = divmod(p * f, d)
-        rows[r].append((k, c))
-    return list(rows.items())
-
-
 def _bias(length: int, wb: int, half: int) -> int:
     """``sum half * X**k`` for k < length, with ``X = 2**(8*wb)``."""
     return int.from_bytes(half.to_bytes(wb, "little") * length, "little")
 
 
-def _pack(row, lo: int, length: int, wb: int, half: int) -> int:
-    """``sum c * X**(k-lo)`` over ``(k, c)`` in row, ``X = 2**(8*wb)``, |c| < half."""
-    biased = [half] * length
-    for k, c in row:
-        biased[k - lo] += c
-    packed = b"".join([c.to_bytes(wb, "little") for c in biased])
-    return int.from_bytes(packed, "little") - _bias(length, wb, half)
+def _pack(row, wb: int, half: int) -> int:
+    """``sum row[k] * X**k``, ``X = 2**(8*wb)``, every ``|row[k]| < half``."""
+    packed = b"".join([(c + half).to_bytes(wb, "little") for c in row])
+    return int.from_bytes(packed, "little") - _bias(len(row), wb, half)
 
 
-def _kronecker(classes_a, classes_b, d: int, order: int) -> dict[int, int]:
-    """Product terms below position order of two series given by ``_classes``.
+def _kronecker(ra, rb, n: int) -> list[int]:
+    """The first n coefficients of the product of two dense integer rows.
 
-    Inside a residue class the terms are integer-spaced, so each pair of
-    classes is a product of two dense integer polynomials.  Each one is
-    packed into a single int, one slot of ``wb`` bytes per power, and one
-    big-int multiply does the whole convolution (Kronecker substitution).
-    Terms that cannot land below order are not packed; slots at or past
-    order are discarded.  A product slot sums at most ``min(la, lb)``
-    products, each below ``2**(bits_a + bits_b)`` in magnitude, so it lies
-    strictly between -half and half: with half added, every slot is a digit
-    in ``[0, X)`` that never carries into the next.
+    Each row is packed into a single int, one slot of ``wb`` bytes per entry,
+    and one big-int multiply does the whole convolution (Kronecker
+    substitution); slots from n on are discarded.  A product slot sums at
+    most ``min(len(ra), len(rb))`` products, each below ``2**(bits_a +
+    bits_b)`` in magnitude, so it lies strictly between -half and half: with
+    half added, every slot is a digit in ``[0, X)`` that never carries into
+    the next.
     """
-    acc = defaultdict(int)
-    for ra, row_a in classes_a:
-        for rb, row_b in classes_b:
-            lo_a, lo_b = row_a[0][0], row_b[0][0]
-            # product slots lo_a + lo_b + 0 .. n-1 land below order
-            n = (order - 1 - ra - rb) // d - lo_a - lo_b + 1
-            if n <= 0:
-                continue
-            ka = row_a[: bisect_left(row_a, (lo_a + n,))]
-            kb = row_b[: bisect_left(row_b, (lo_b + n,))]
-            la, lb = ka[-1][0] - lo_a + 1, kb[-1][0] - lo_b + 1
-            n = min(n, la + lb - 1)
-            width = (
-                max(abs(c) for _, c in ka).bit_length()
-                + max(abs(c) for _, c in kb).bit_length()
-                + min(la, lb).bit_length()
-                + 1
-            )
-            wb = -(-width // 8)
-            half = 1 << (8 * wb - 1)
-            prod = _pack(ka, lo_a, la, wb, half) * _pack(kb, lo_b, lb, wb, half)
-            low = (prod + _bias(n, wb, half)) & ((1 << (8 * wb * n)) - 1)
-            raw = low.to_bytes(wb * n, "little")
-            base = ra + rb + d * (lo_a + lo_b)
-            for k, o in enumerate(range(0, wb * n, wb)):
-                c = int.from_bytes(raw[o : o + wb], "little") - half
-                if c:
-                    acc[base + d * k] += c
-    return acc
+    bits = max(map(abs, ra)).bit_length() + max(map(abs, rb)).bit_length()
+    wb = (bits + min(len(ra), len(rb)).bit_length() + 8) // 8  # bytes for bits + 1 sign bit
+    half = 1 << (8 * wb - 1)
+    prod = _pack(ra, wb, half) * _pack(rb, wb, half) + _bias(n, wb, half)
+    raw = (prod & ((1 << (8 * wb * n)) - 1)).to_bytes(wb * n, "little")
+    return [int.from_bytes(raw[o : o + wb], "little") - half for o in range(0, wb * n, wb)]
+
+
+def _nonzero(row) -> list[tuple[int, int]]:
+    """``(k, row[k])`` for every nonzero entry, found in one C-level pass."""
+    return list(compress(enumerate(row), row))
+
+
+def _spread(row, stride: int, n: int):
+    """The first n slots of row put ``stride`` slots apart, zeros between (fewer if row ends)."""
+    if stride == 1:
+        return row[:n]
+    out = [0] * min(n, (len(row) - 1) * stride + 1)
+    out[::stride] = row[: -(-len(out) // stride)]
+    return out
 
 
 # sets a slot of a new FracSeries, whose own __setattr__ refuses
@@ -141,38 +115,48 @@ _set = object.__setattr__
 
 
 class FracSeries:
-    """Truncated series ``sum_(p, c) in terms c * q**(p/den)``.
+    """Truncated series ``sum_k row[k] * q**((lowest + step*k)/den)``.
 
-    ``terms`` holds the nonzero ``int`` coefficients only, sorted by
-    position; every other slot below the bound ``order/den`` is zero, and
-    nothing is known at or beyond it.  ``lowest`` (the first nonzero position,
-    or ``order`` for a zero series) and ``coeffs``, the dense view of slots
-    ``lowest .. order-1``, are derived on demand; the constructor's ``lowest``
-    is the position of ``coeffs[0]``.  Instances are immutable: assigning to
-    or deleting a slot raises AttributeError, and all arithmetic returns new
-    objects.  A coefficient or scalar that is not an integer raises
-    TypeError, and so does an exponent that is not an int or a Fraction.
+    Every slot of the lattice ``(1/den)Z`` below the bound ``order/den`` that
+    the row does not hold is zero, and nothing is known at or beyond the
+    bound.  The row is canonical: empty for a zero series (then ``lowest ==
+    order``), else starting and ending on a nonzero entry, and ``step``, a
+    divisor of ``den``, is the gcd of ``den`` and the spacings of the nonzero
+    terms: ``den`` itself, one entry per whole level, in every series the
+    package builds.  ``terms`` (the nonzero ``(position, coefficient)`` pairs)
+    and ``coeffs`` (the dense slots ``lowest .. order-1``) are derived; the
+    constructor's ``lowest`` is the position of ``coeffs[0]``.  Instances are
+    immutable: assigning to or deleting a slot raises AttributeError, and all
+    arithmetic returns new objects.  A coefficient or scalar that is not an
+    integer raises TypeError, and so does an exponent that is not an int or a
+    Fraction.
     """
 
-    __slots__ = ("den", "order", "terms")
+    __slots__ = ("den", "order", "lowest", "step", "row")
 
     def __init__(self, den: int, lowest: int, coeffs: Iterable[int]):
         den, lowest = index(den), index(lowest)
         if den < 1:
             raise ValueError(f"denominator must be >= 1, got {den}")
         values = [index(c) for c in coeffs]
-        _set(self, "den", den)
-        _set(self, "order", lowest + len(values))
-        _set(self, "terms", tuple((lowest + k, c) for k, c in enumerate(values) if c))
+        _store(self, den, lowest + len(values), lowest, 1, values)
+
+    @classmethod
+    def _of(cls, den: int, order: int, lead: int, step: int, row) -> "FracSeries":
+        """Series with ``row[k]`` at position ``lead + step*k``, below position order."""
+        return _store(object.__new__(cls), den, order, lead, step, row)
 
     @classmethod
     def _from_terms(cls, den: int, order: int, pairs) -> "FracSeries":
-        """Series from (position, coefficient) pairs with distinct positions."""
-        out = object.__new__(cls)
-        _set(out, "den", den)
-        _set(out, "order", order)
-        _set(out, "terms", tuple(t for t in sorted(pairs) if t[1]))
-        return out
+        """Series from (position, coefficient) pairs; coefficients at one position add up."""
+        pairs = [t for t in pairs if t[1]]
+        positions = [p for p, _ in pairs] or [order]
+        lead = min(positions)
+        step = gcd(den, *[p - lead for p in positions])
+        row = [0] * ((max(positions) - lead) // step + 1 if pairs else 0)
+        for p, c in pairs:
+            row[(p - lead) // step] += c
+        return cls._of(den, order, lead, step, row)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"FracSeries is immutable; cannot set or delete {name!r}")
@@ -185,25 +169,23 @@ class FracSeries:
         return Fraction(self.order, self.den)
 
     @property
-    def lowest(self) -> int:
-        """First nonzero position, or ``order`` for a zero series."""
-        return self.terms[0][0] if self.terms else self.order
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero ``(position, coefficient)`` pairs, sorted by position."""
+        return tuple((self.lowest + self.step * k, c) for k, c in _nonzero(self.row))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Dense coefficients of slots ``lowest .. order-1``."""
-        lo = self.lowest
-        out = [0] * (self.order - lo)
-        for p, c in self.terms:
-            out[p - lo] = c
+        out = [0] * (self.order - self.lowest)
+        out[: len(self.row) * self.step : self.step] = self.row
         return tuple(out)
 
     # -- inspection ------------------------------------------------------
 
     def nonzero_terms(self) -> Iterator[tuple[Fraction, int]]:
         """Yield (exponent, coefficient) for every nonzero term."""
-        for p, c in self.terms:
-            yield Fraction(p, self.den), c
+        for k, c in _nonzero(self.row):
+            yield Fraction(self.lowest + self.step * k, self.den), c
 
     def leading_term(self) -> tuple[Fraction, int] | None:
         """First nonzero (exponent, coefficient), or None for a zero series."""
@@ -223,25 +205,24 @@ class FracSeries:
 
         The same values as ``coeff(start + k)`` for each k, and the
         same ValueError when the last exponent lies at or beyond the bound.
-        All zeros when start is off the series' exponent lattice.
+        All zeros when start is off the series' exponent lattice.  Whole
+        levels are ``den // step`` row entries apart, so the row is read as
+        one slice.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
         start = Fraction(start, 1)
         if count:
             self._require_known(start + count - 1)
-        out = [0] * count
         scaled = start * self.den
-        if scaled.denominator != 1:
-            return tuple(out)
-        first, stop = scaled.numerator, scaled.numerator + count * self.den
-        for p, c in islice(self.terms, bisect_left(self.terms, (first,)), None):
-            if p >= stop:
-                break
-            k, off = divmod(p - first, self.den)
-            if not off:
-                out[k] = c
-        return tuple(out)
+        if scaled.denominator == 1:
+            i, off = divmod(scaled.numerator - self.lowest, self.step)
+            j = self.den // self.step
+            k = max(0, -(i // j))  # the first k with i + j*k >= 0
+            if not off and k < count:
+                part = self.row[i + j * k : i + j * count : j]
+                return (0,) * k + part + (0,) * (count - k - len(part))
+        return (0,) * count
 
     def _require_known(self, e: Fraction) -> None:
         if e >= self.order_exponent:
@@ -254,15 +235,12 @@ class FracSeries:
 
     def reduced(self) -> "FracSeries":
         """Equivalent series on the coarsest lattice holding all nonzero terms."""
-        if self.den == 1:
-            return self
         # d must divide order as well, otherwise the coarser lattice would
-        # either drop a known slot or claim exactness past the true bound
-        d = gcd(self.den, self.order, *(p for p, _ in self.terms))
-        if d == 1:
-            return self
-        pairs = ((p // d, c) for p, c in self.terms)
-        return FracSeries._from_terms(self.den // d, self.order // d, pairs)
+        # either drop a known slot or claim exactness past the true bound;
+        # every nonzero position is lowest + a multiple of step
+        d = gcd(self.order, self.lowest, self.step)
+        coarse = (self.den // d, self.order // d, self.lowest // d, self.step // d)
+        return self if d == 1 else FracSeries._of(*coarse, self.row)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -272,12 +250,16 @@ class FracSeries:
         d = lcm(self.den, other.den)
         fa, fb = d // self.den, d // other.den
         order = min(self.order * fa, other.order * fb)
-        acc = defaultdict(int)
-        for f, terms in ((fa, self.terms), (fb, other.terms)):
-            for p, c in terms:
-                if p * f < order:
-                    acc[p * f] += c
-        return FracSeries._from_terms(d, order, acc.items())
+        parts = [(s.lowest * f, s.step * f, s.row) for s, f in ((self, fa), (other, fb)) if s.row]
+        lead = min((lo for lo, _, _ in parts), default=order)
+        g = gcd(d, *(step for _, step, _ in parts), *(lo - lead for lo, _, _ in parts))
+        n = -(-(order - lead) // g)  # slots lead + g*k below order
+        out = [0] * n
+        for lo, step, row in parts:
+            first = (lo - lead) // g
+            part = _spread(row, step // g, max(0, n - first))
+            out[first : first + len(part)] = map(add, out[first : first + len(part)], part)
+        return FracSeries._of(d, order, lead, g, out)
 
     def __neg__(self) -> "FracSeries":
         return self * -1
@@ -291,33 +273,37 @@ class FracSeries:
         """Product with an ``int``, or Cauchy product with a series on the lcm lattice.
 
         The product is exact below the first exponent that an unknown
-        coefficient of either factor can reach.  No term that cannot land
-        below that bound is multiplied or packed, and packed slots past it
-        are discarded.  Any other operand raises TypeError.
+        coefficient of either factor can reach.  Both rows go on the gcd of
+        their steps; no entry that cannot land below that bound is multiplied
+        or packed, and packed slots past it are discarded.  Any other operand
+        raises TypeError.
         """
         if isinstance(other, int):
-            pairs = [(p, c * other) for p, c in self.terms]
-            return FracSeries._from_terms(self.den, self.order, pairs)
+            if other == 1:
+                return self
+            row = [c * other for c in self.row]
+            return FracSeries._of(self.den, self.order, self.lowest, self.step, row)
         if not isinstance(other, FracSeries):
             return NotImplemented
         d = lcm(self.den, other.den)
         fa, fb = d // self.den, d // other.den
-        tb = [(j * fb, c) for j, c in other.terms]
-        pos_b = [j for j, _ in tb]
         lo_a, lo_b = self.lowest * fa, other.lowest * fb
         # Unknown tail of one factor first pollutes the product at
         # order_a + lo_b (resp. order_b + lo_a); below that every Cauchy
         # convolution term is made of known coefficients.
         order = min(self.order * fa + lo_b, other.order * fb + lo_a)
-        if min(len(self.terms), len(tb)) >= _KRONECKER_MIN_TERMS:
-            acc = _kronecker(_classes(self.terms, fa, d), _classes(tb, 1, d), d, order)
+        if not (self.row and other.row):
+            return FracSeries._of(d, order, order, d, ())
+        g = gcd(self.step * fa, other.step * fb)
+        n = -(-(order - lo_a - lo_b) // g)  # slots lo_a + lo_b + g*k below order
+        ra = _spread(self.row, self.step * fa // g, n)
+        rb = _spread(other.row, other.step * fb // g, n)
+        n = min(n, len(ra) + len(rb) - 1)
+        if min(len(ra), len(rb)) >= _KRONECKER_MIN_TERMS:
+            out = _kronecker(ra, rb, n)
         else:
-            acc = defaultdict(int)
-            for i, ca in self.terms:
-                i *= fa
-                for j, cb in islice(tb, bisect_left(pos_b, order - i)):
-                    acc[i + j] += ca * cb
-        return FracSeries._from_terms(d, order, acc.items())
+            out = _times([*rb, *[0] * (n - len(rb))], _nonzero(ra))
+        return FracSeries._of(d, order, lo_a + lo_b, g, out)
 
     __rmul__ = __mul__
 
@@ -331,8 +317,7 @@ class FracSeries:
         """
         if not isinstance(other, FracSeries):
             return NotImplemented
-        bound = self.order_exponent
-        return bound == other.order_exponent and _terms_equal_through(self, other, bound)
+        return self.order * other.den == other.order * self.den and _same_terms(self, other)
 
     # -- serialization ---------------------------------------------------
 
@@ -340,8 +325,7 @@ class FracSeries:
         # every zero slot shares one string: a fine lattice is mostly zeros
         lo = self.lowest
         coeffs = ["0/1"] * (self.order - lo)
-        for p, c in self.terms:
-            coeffs[p - lo] = f"{c}/1"
+        coeffs[: len(self.row) * self.step : self.step] = [f"{c}/1" for c in self.row]
         return {"denominator": self.den, "lowest": lo, "coeffs": coeffs, "order": self.order}
 
     @classmethod
@@ -357,7 +341,7 @@ class FracSeries:
         order = index(d["order"])
         if order < dense.order:
             raise ValueError("order field below the stored coefficient range")
-        return cls._from_terms(dense.den, order, dense.terms)
+        return cls._of(dense.den, order, dense.lowest, dense.step, dense.row)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -377,6 +361,29 @@ class FracSeries:
         return f"<FracSeries {body} exact below q^({self.order_exponent})>"
 
 
+def _store(s: FracSeries, den: int, order: int, lead: int, step: int, row) -> FracSeries:
+    """Set the slots of s from ``row[k]`` at position ``lead + step*k``, in canonical form.
+
+    Zero entries at either end are dropped, and the step widens to the gcd of
+    den and the spacings of the nonzero entries (a step of den cannot widen).
+    """
+    first, stop = 0, len(row)
+    while first < stop and not row[first]:
+        first += 1
+    while stop > first and not row[stop - 1]:
+        stop -= 1
+    row = tuple(row[first:stop] if first or stop < len(row) else row)
+    lead += step * first
+    if not row:
+        lead, step = order, den
+    elif step < den:
+        wider = gcd(den // step, *(k for k, _ in _nonzero(row)))
+        step, row = step * wider, row[::wider]
+    for name, value in zip(FracSeries.__slots__, (den, order, lead, step, row)):
+        _set(s, name, value)
+    return s
+
+
 def monomial(c: int, num: int, den: int, order_terms: int) -> FracSeries:
     """Single term ``c * q**(num/den)`` with order_terms retained slots."""
     c, num, den, order_terms = index(c), index(num), index(den), index(order_terms)
@@ -384,7 +391,7 @@ def monomial(c: int, num: int, den: int, order_terms: int) -> FracSeries:
         raise ValueError("den must be >= 1")
     if order_terms < 1:
         raise ValueError("order_terms must be >= 1")
-    return FracSeries._from_terms(den, num + order_terms, [(num, c)])
+    return FracSeries._of(den, num + order_terms, num, den, [c])
 
 
 def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
@@ -400,8 +407,7 @@ def euler_product(sign: int, exponent: int, n_terms: int) -> FracSeries:
         raise ValueError("sign must be +1 or -1")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    row = _euler(((sign, exponent),), n_terms)
-    return FracSeries._from_terms(1, n_terms + 1, enumerate(row))
+    return FracSeries._of(1, n_terms + 1, 0, 1, _euler(((sign, exponent),), n_terms))
 
 
 @lru_cache(maxsize=32)
@@ -463,9 +469,9 @@ def _theta(
     """``sum_{n = residue mod modulus} weight(n) * q**(scale*n**2)`` exact below order.
 
     Each term sits at the integer position ``u*n**2`` on the lattice ``lcm`` of
-    the scale's and the bound's denominators; duplicate positions are summed
-    (weights n and -n cancel), and ``reduced`` moves the result to the
-    coarsest lattice.  An order that is not an int or a Fraction raises TypeError.
+    the scale's and the bound's denominators; ``_from_terms`` sums duplicate
+    positions (weights n and -n cancel), and ``reduced`` moves the result to
+    the coarsest lattice.  An order that is not an int or a Fraction raises TypeError.
     """
     order = Fraction(order, 1)
     if order < 1:
@@ -474,11 +480,9 @@ def _theta(
     u = scale.numerator * (den // scale.denominator)
     stop = order.numerator * (den // order.denominator)
     top = isqrt(ceil(order / scale))
-    acc = defaultdict(int)
-    for n in range(-top + (residue + top) % modulus, top + 1, modulus):
-        if (p := u * n * n) < stop:
-            acc[p] += weight(n)
-    return FracSeries._from_terms(den, stop, acc.items()).reduced()
+    ns = range(-top + (residue + top) % modulus, top + 1, modulus)
+    pairs = [(u * n * n, weight(n)) for n in ns if u * n * n < stop]
+    return FracSeries._from_terms(den, stop, pairs).reduced()
 
 
 def theta_null(a: int, b: int, order: int) -> FracSeries:
@@ -502,14 +506,11 @@ def weighted_theta(a: int, b: int, c: Fraction | int, order: int) -> FracSeries:
     return _theta(a, b, c / a**2, order, lambda n: n)
 
 
-def _terms_equal_through(a: FracSeries, b: FracSeries, bound: Fraction) -> bool:
-    """True iff a and b have the same nonzero terms at every exponent <= bound."""
-    d = lcm(a.den, b.den)
-    top = bound.numerator * d // bound.denominator
-    fa, fb = d // a.den, d // b.den
-    return [(p * fa, c) for p, c in a.terms if p * fa <= top] == [
-        (p * fb, c) for p, c in b.terms if p * fb <= top
-    ]
+def _same_terms(a: FracSeries, b: FracSeries) -> bool:
+    """True iff a and b have the same nonzero terms, whatever their lattices and bounds."""
+    if a.row != b.row:
+        return False
+    return not a.row or (a.lowest * b.den == b.lowest * a.den and a.step * b.den == b.step * a.den)
 
 
 def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
@@ -520,9 +521,13 @@ def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
     ``==`` it ignores what either side knows beyond bound.
     """
     bound = Fraction(bound, 1)
+    cut = []
     for s in (a, b):
         s._require_known(bound)
-    return _terms_equal_through(a, b, bound)
+        top = bound.numerator * s.den // bound.denominator  # the last position <= bound
+        kept = s.row[: max(0, (top - s.lowest) // s.step + 1)]
+        cut.append(FracSeries._of(s.den, top + 1, s.lowest, s.step, kept))
+    return _same_terms(*cut)
 
 
 @lru_cache(maxsize=128)
@@ -542,14 +547,16 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
     caller's weight formula and the numerator's shape.
 
     Everything happens on the lattice ``d = lcm`` of eta_den and the theta
-    denominators, in integers.  The theta terms lie whole levels apart (the
-    Virasoro numerator's two sums differ by integers; the others are one sum)
-    and so do the Euler row's, so the product is one dense row of
-    ``order + 1`` levels: each theta term adds its multiple of the Euler row,
-    shifted by its level.  ``q^(-1/eta_den)`` moves every position and
-    ``order`` down by ``d/eta_den`` in the same pass.  The result has the same
-    den and terms as the product of the theta numerator, the Euler series and
-    a monomial q^(-1/eta_den), cut after target.
+    denominators, in integers.  The theta numerator is the sum of its terms,
+    one series whose step must be its den: its terms lie whole levels apart
+    (the Virasoro numerator's two sums differ by integers; the others are one
+    sum), and so do the Euler row's.  So the product is one dense row of
+    ``order + 1`` levels: each theta entry adds its multiple of the Euler
+    row, shifted by its level, and that row is the character's row, one
+    entry per level.  ``q^(-1/eta_den)`` moves the leading position and
+    ``order`` down by ``d/eta_den``.  The result has the same den and terms
+    as the product of the theta numerator, the Euler series and a monomial
+    q^(-1/eta_den), cut after target.
 
     Cached per argument set (a module-level ``lru_cache``), so a command
     builds each character once and every caller shares the immutable series.
@@ -557,19 +564,11 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
     if order < 0:
         raise ValueError("order must be >= 0")
     bound = floor(target + Fraction(1, eta_den)) + 1
-    thetas = [(sign, theta(*args, bound)) for sign, theta, args in numerator]
-    d = lcm(eta_den, *(s.den for _, s in thetas))
-    acc = defaultdict(int)
-    for sign, s in thetas:
-        f = d // s.den
-        for p, c in s.terms:
-            acc[p * f] += sign * c
-    terms = sorted((p, c) for p, c in acc.items() if c)
-    lo = terms[0][0]
-    shift = d // eta_den
+    num = reduce(add, (theta(*args, bound) * sign for sign, theta, args in numerator))
+    d = lcm(eta_den, num.den)
+    lo, shift = num.lowest * (d // num.den), d // eta_den
     stop = floor(target * d) + shift + 1
-    if stop != lo + order * d + 1 or stop > bound * d or any((p - lo) % d for p, _ in terms):
+    if stop != lo + order * d + 1 or stop > bound * d or num.step != num.den:
         raise RuntimeError("internal truncation bookkeeping error")
-    row = _times(_euler(euler_parts, order), [((p - lo) // d, c) for p, c in terms])
-    pairs = [(lo - shift + d * k, c) for k, c in enumerate(row)]
-    return FracSeries._from_terms(d, stop - shift, pairs)
+    row = _times(_euler(euler_parts, order), _nonzero(num.row))
+    return FracSeries._of(d, stop - shift, lo - shift, d, row)

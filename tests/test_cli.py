@@ -162,9 +162,39 @@ def test_fusion_ext_refuses_positionals(capsys, positional):
      "--perturb '1:2:3:4' is not ROW:COL:DELTA"),
     (("verify", "decomposition", "--perturb", "::"), "--perturb '::' is not ROW:COL:DELTA"),
     (("verify", "all", "--perturb", "0:0:1.5"), "--perturb '0:0:1.5' is not ROW:COL:DELTA"),
+    # an empty value is refused, not read as no perturbation
+    (("verify", "decomposition", "--perturb", ""), "--perturb '' is not ROW:COL:DELTA"),
+    (("verify", "decomposition", "--perturb="), "--perturb '' is not ROW:COL:DELTA"),
+    # each field is an optional sign and ASCII digits, as in --t: int() read these
+    (("fusion", "vir", "10", "7", "--a", " 2,1", "--b", "1,1"),
+     "label ' 2,1' is not of the form R,S"),
+    (("fusion", "vir", "10", "7", "--a", "1_0,1", "--b", "1,1"),
+     "label '1_0,1' is not of the form R,S"),
+    (("fusion", "vir", "10", "7", "--a", "\u0663,1", "--b", "1,1"),
+     "label '\u0663,1' is not of the form R,S"),
+    (("fusion", "vir", "10", "7", "--a", "2,1", "--b", "1, 1"),
+     "label '1, 1' is not of the form R,S"),
+    (("verify", "decomposition", "--perturb", " 1: 2:-3"),
+     "--perturb ' 1: 2:-3' is not ROW:COL:DELTA"),
+    (("verify", "decomposition", "--perturb", "1_0:0:1"),
+     "--perturb '1_0:0:1' is not ROW:COL:DELTA"),
+    (("verify", "decomposition", "--perturb", "\u0663:0:1"),
+     "--perturb '\u0663:0:1' is not ROW:COL:DELTA"),
+    # past the digits int() reads, the same refusal
+    (("verify", "decomposition", "--perturb", "1" * 5000 + ":0:1"),
+     f"--perturb '{'1' * 5000}:0:1' is not ROW:COL:DELTA"),
 ])
 def test_malformed_integer_tuple_is_refused_in_one_line(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+def test_integer_fields_may_carry_a_sign(capsys):
+    # an explicit + is read, as --t reads it
+    assert run(capsys, "fusion", "vir", "10", "7", "--a", "+2,+1", "--b", "1,+1") == run(
+        capsys, "fusion", "vir", "10", "7", "--a", "2,1", "--b", "1,1")
+    plain = run(capsys, "verify", "decomposition", "--order", "2", "--perturb", "0:0:1")
+    assert plain[0] == 1
+    assert run(capsys, "verify", "decomposition", "--order", "2", "--perturb", "+0:0:+1") == plain
 
 
 def test_fusion_invalid_label(capsys):

@@ -10,7 +10,7 @@ from math import comb, gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetchar import series
+from cosetchar import coset, series
 from cosetchar.affine import h_alpha_beta
 from cosetchar.minimal import KacLabel, MinimalModel
 from cosetchar.series import (
@@ -1033,3 +1033,91 @@ def test_long_products_reach_the_slot_bound(length):
                     b = FracSeries(1, 0, [sb * sign(k) * mb for k in range(length)])
                     expected = [sa * sb * sign(k) * (k + 1) * ma * mb for k in range(length)]
                     assert (a * b).coeffs == tuple(expected), (length, ba, bb, sa, sb)
+
+
+# --- row storage: one entry per whole level ----------------------------------
+
+@st.composite
+def level_rows(draw):
+    """(den, lead, coeffs) of a series whose terms lie whole levels apart.
+
+    The lead may sit in any residue class mod den; coefficients are big and
+    signed, with some zeros, and the bound lies a few slots past the last level.
+    """
+    den = draw(st.sampled_from([24, 168, 840]))
+    lead = draw(st.integers(0, den - 1)) + den * draw(st.integers(-3, 3))
+    top = 2 ** draw(st.sampled_from([1, 40, 200]))
+    levels = draw(st.lists(st.one_of(st.just(0), st.integers(-top, top)), max_size=24))
+    coeffs = [0] * (max(len(levels) - 1, 0) * den + draw(st.integers(1, 2 * den)))
+    coeffs[: len(levels) * den : den] = levels
+    return den, lead, coeffs
+
+
+def _dense_coeffs_or_error(d, start, count):
+    """Coefficients of q^(start + k) read from a DenseSeries, or ValueError past its bound."""
+    out = []
+    for k in range(count):
+        pos = (start + k) * d.den
+        if pos >= d.order:
+            return ValueError
+        inside = pos.denominator == 1 and pos >= d.lowest
+        out.append(int(d.coeffs[pos.numerator - d.lowest]) if inside else 0)
+    return tuple(out)
+
+
+@given(a=level_rows(), b=level_rows(), same=st.sampled_from(["no", "yes", "one level"]),
+       shift=st.integers(-4, 30))
+@settings(max_examples=60, deadline=None)
+def test_level_rows_match_dense_reference(a, b, same, shift):
+    if same != "no":  # b is a, or a with one level changed
+        den, lead, coeffs = a
+        coeffs = list(coeffs)
+        if same == "one level":
+            coeffs[shift % ((len(coeffs) - 1) // den + 1) * den] += 1
+        b = den, lead, coeffs
+    (sa, da), (sb, db) = [(FracSeries(*x), DenseSeries(*x)) for x in (a, b)]
+    for s in (sa, sb, sa * sb, sb * sa):
+        assert s.step == s.den, s
+    assert (sa * sb).to_json_dict() == (da * db).to_json_dict()
+    assert (sa + sb).to_json_dict() == (da + db).to_json_dict()
+    assert sa.reduced().to_json_dict() == da.reduced().to_json_dict()
+    assert (sa * sb).reduced().to_json_dict() == (da * db).reduced().to_json_dict()
+    assert (sa == sb) is (da.den == db.den and da.to_json_dict() == db.to_json_dict())
+    assert sa == FracSeries.loads(sa.dumps()) == sa.reduced()
+    first = F(sa.lowest, sa.den) + shift  # on the lattice, from below lowest to past the bound
+    for start in (first, first + F(1, sa.den), first - F(1, 2 * sa.den)):
+        for count in (0, 1, 3, 25):
+            assert _coeff_row_or_error(sa, start, count) == _dense_coeffs_or_error(da, start, count)
+
+
+def test_decomposition_series_hold_one_entry_per_level(monkeypatch):
+    # every series built by the decomposition check, characters and products
+    # alike, sits on whole levels, so each row entry is one level
+    built, store = [], series._store
+
+    def recording(*args):
+        built.append(store(*args))
+        return built[-1]
+
+    monkeypatch.setattr(series, "_store", recording)
+    for cache in (coset._summand_series, series._character, series._euler):
+        cache.cache_clear()
+    assert coset.verify_decomposition(40).passed
+    assert len(built) > 20 and max(s.den for s in built) == 840
+    assert all(s.step == s.den for s in built)
+    rows = [s for s in built if s.den == 840 and len(s.row) == 41]
+    assert len(rows) >= 7  # the characters and products through order 40
+
+
+@pytest.mark.parametrize("length", [4, 9, 40])
+def test_product_of_a_level_row_and_a_multi_class_series(length):
+    # the character's row is spread six entries a level to meet the den-6
+    # factor's step of 1/6 (pair loop for 4 entries, packed for 9 and 40)
+    ch = MinimalModel(10, 7).character(KacLabel(2, 1), 6)
+    other = FracSeries(6, -5, [(-1) ** k * (k % 7) for k in range(length)])
+    dch = DenseSeries(ch.den, ch.lowest, ch.coeffs)
+    dother = DenseSeries(6, -5, [(-1) ** k * (k % 7) for k in range(length)])
+    assert other.step == 1 and (ch * other).step == 140
+    for got, want in ((ch * other, dch * dother), (other * ch, dother * dch),
+                      (ch + other, dch + dother)):
+        assert got.to_json_dict() == want.to_json_dict()
