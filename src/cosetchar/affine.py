@@ -27,7 +27,7 @@ from operator import index
 from typing import Literal
 
 from .minimal import KacLabel, MinimalModel
-from .series import FracSeries, _character, monomial, weighted_theta
+from .series import FracSeries, _character
 
 __all__ = [
     "OspLabel",
@@ -143,7 +143,7 @@ def osp_character(lab: OspLabel, order: int = 20) -> FracSeries:
     order = index(order)
     a = 2 * lab.l + 3
     return _character(
-        ((1, weighted_theta, (2 * a, lab.r, Fraction(a, 2))),),
+        (Fraction(1, 8 * a), 2 * a, True, ((1, lab.r),)),
         euler_parts=((1, 2), (-1, -3)),
         eta_den=24,
         target=lab.lead + order,
@@ -167,8 +167,8 @@ def _osp_supercharacter(lab: OspLabel, order: int) -> FracSeries:
         if n % a not in (0, (a - lab.r) // 2, (a + lab.r) // 2):
             for m in range(n, order + 1):
                 row[m] += row[m - n]
-    sign, den = (-1) ** ((lab.r - 1) // 2), lab.lead.denominator
-    return FracSeries(1, 0, row) * monomial(sign, lab.lead.numerator, den, order * den + 1)
+    sign, (num, den) = (-1) ** ((lab.r - 1) // 2), lab.lead.as_integer_ratio()
+    return FracSeries._of(den, num + order * den + 1, num, den, [sign * c for c in row])
 
 
 def sl2_central_charge(l: int) -> Fraction:
@@ -185,7 +185,7 @@ def sl2_character(lab: Sl2Label, order: int = 20) -> FracSeries:
     order = index(order)
     k = lab.l + 2
     return _character(
-        ((1, weighted_theta, (2 * k, lab.i + 1, Fraction(k))),),
+        (Fraction(1, 4 * k), 2 * k, True, ((1, lab.i + 1),)),
         euler_parts=((-1, -3),),
         eta_den=8,
         target=sl2_weight(lab) - sl2_central_charge(lab.l) / 24 + order,

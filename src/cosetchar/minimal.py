@@ -29,7 +29,7 @@ from operator import index
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .series import FracSeries, _character, theta_null
+from .series import FracSeries, _character
 
 __all__ = ["KacLabel", "MinimalModel", "ModuleSum"]
 
@@ -194,7 +194,7 @@ class MinimalModel:
         r, s = self._check(label)
         p, q = self.p, self.q
         return _character(
-            ((1, theta_null, (p * q, p * r - q * s)), (-1, theta_null, (p * q, p * r + q * s))),
+            (Fraction(1, 4 * p * q), 2 * p * q, False, ((1, p * r - q * s), (-1, p * r + q * s))),
             euler_parts=((-1, -1),),
             eta_den=24,
             target=self.conformal_weight(label) - self.central_charge() / 24 + order,

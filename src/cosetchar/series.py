@@ -12,17 +12,20 @@ one step, never multiplies or packs an entry that cannot land below its
 bound, and multiplies short rows by a loop over nonzero entries, long ones
 as two packed ``int``s (Kronecker substitution).
 
-The module also provides the handful of special series every character in
-this package is assembled from: plain monomial prefactors, Euler products
+The module also provides the handful of special series the characters of
+this package are made of: plain monomial prefactors, Euler products
 ``prod (1 +- q^n)^e``, theta null sums ``sum_m q^(a(m+b/2a)^2)`` and their
 linearly weighted variants ``sum_m (Am+b) q^(c(m+b/A)^2)`` (built on integer
 positions), and the private assembly ``_character`` that the minimal and
 affine characters share: theta numerator times one combined Euler factor (one
 cached ``_euler`` row of ints, from sparse theta-type series), shifted by
 ``q^(-1/24)`` or ``q^(-1/8)``, exact through h - c/24 + order and no further.
-It runs in one integer pass, each theta term shifting and adding the Euler
-row, keeps the row it built as the character's row, and is cached per
-argument set, so a command builds each character once.
+It takes its numerator as plain data (scale, modulus, weighted, signed
+residue classes), lists the theta terms as integers with the enumerator the
+theta sums share, and builds no series but the result: one integer pass,
+each theta term shifting and adding the Euler row, whose row is the
+character's row.  It is cached per argument set, so a command builds each
+character once.
 ``==`` is strict: equal series have the same exactness bound and nonzero terms.
 :func:`equal_through` compares two series of any bounds through a given
 exponent, which both must know.
@@ -33,9 +36,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import compress
-from math import ceil, floor, gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from operator import add, index, itemgetter, mul
 from typing import Iterable, Iterator
 
@@ -463,10 +466,20 @@ def _over(row: list[int], terms) -> list[int]:
     return out[len(row) :]
 
 
-def _theta(
-    modulus: int, residue: int, scale: Fraction, order: Fraction | int, weight
-) -> FracSeries:
-    """``sum_{n = residue mod modulus} weight(n) * q**(scale*n**2)`` exact below order.
+def _theta_terms(modulus: int, residue: int, u: int, stop: int, weighted: bool):
+    """``(u*n*n, w(n))`` for every ``n = residue (mod modulus)`` with ``u*n*n < stop``.
+
+    The one term enumerator of ``_theta`` and ``_character``: a term of a theta
+    sum of scale ``u/den`` sits at the integer position ``u*n*n`` on the
+    lattice ``(1/den)Z``, with weight ``w(n) = n`` when weighted, else 1.
+    """
+    top = isqrt(-(-stop // u))
+    ns = range(-top + (residue + top) % modulus, top + 1, modulus)
+    return [(u * n * n, n if weighted else 1) for n in ns if u * n * n < stop]
+
+
+def _theta(modulus: int, residue: int, scale: Fraction, order, weighted: bool) -> FracSeries:
+    """``sum_{n = residue mod modulus} w(n) * q**(scale*n**2)`` exact below order; w(n) = n or 1.
 
     Each term sits at the integer position ``u*n**2`` on the lattice ``lcm`` of
     the scale's and the bound's denominators; ``_from_terms`` sums duplicate
@@ -479,9 +492,7 @@ def _theta(
     den = lcm(scale.denominator, order.denominator)
     u = scale.numerator * (den // scale.denominator)
     stop = order.numerator * (den // order.denominator)
-    top = isqrt(ceil(order / scale))
-    ns = range(-top + (residue + top) % modulus, top + 1, modulus)
-    pairs = [(u * n * n, weight(n)) for n in ns if u * n * n < stop]
+    pairs = _theta_terms(modulus, residue, u, stop, weighted)
     return FracSeries._from_terms(den, stop, pairs).reduced()
 
 
@@ -489,21 +500,26 @@ def theta_null(a: int, b: int, order: int) -> FracSeries:
     """``sum_{m in Z} q**(a*(m + b/(2a))**2)`` exact below exponent order.
 
     Exponents are (2am+b)^2/(4a), so the lattice denominator divides 4a.
-    Symmetric under b -> -b.
+    Symmetric under b -> -b.  An a or b that is not an integer raises TypeError.
     """
+    a, b = index(a), index(b)
     if a < 1:
         raise ValueError("a must be >= 1")
-    return _theta(2 * a, b, Fraction(1, 4 * a), order, lambda n: 1)
+    return _theta(2 * a, b, Fraction(1, 4 * a), order, False)
 
 
 def weighted_theta(a: int, b: int, c: Fraction | int, order: int) -> FracSeries:
-    """``sum_{m in Z} (a*m + b) * q**(c*(m + b/a)**2)`` exact below order."""
+    """``sum_{m in Z} (a*m + b) * q**(c*(m + b/a)**2)`` exact below order.
+
+    An a or b that is not an integer raises TypeError.
+    """
+    a, b = index(a), index(b)
     if a < 1:
         raise ValueError("a must be >= 1")
     c = Fraction(c, 1)
     if c <= 0:
         raise ValueError("c must be positive")
-    return _theta(a, b, c / a**2, order, lambda n: n)
+    return _theta(a, b, c / a**2, order, True)
 
 
 def _same_terms(a: FracSeries, b: FracSeries) -> bool:
@@ -534,41 +550,49 @@ def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
 def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: int) -> FracSeries:
     """Graded dimension ``theta * prod (1 +- q^n)^e / q^(1/eta_den)``, exact through target.
 
-    ``numerator`` is a tuple of ``(sign, theta, args)``: the theta numerator is
-    the sum of ``sign * theta(*args, bound)``, each built by ``theta_null`` or
-    ``weighted_theta`` to the least integer above ``target + 1/eta_den``.
-    ``euler_parts`` lists the ``(sign, e)`` of every Euler factor; all of them
-    come as one dense row from one ``_euler`` call, kept through q^order
-    and shared by every character with the same parts and order.  ``target``
-    is the caller's h - c/24 + order: the result is exact through it and no
-    further (``order_exponent == target + 1/den``).  A target that is not
-    exactly ``order`` levels above the theta sum's leading term, or a theta
-    term off those levels, raises RuntimeError, so every build checks the
-    caller's weight formula and the numerator's shape.
+    ``numerator`` is plain data, ``(scale, modulus, weighted, ((sign, residue),
+    ...))``: the theta numerator is ``sum sign * w(n) * q**(scale*n**2)`` over
+    every class and every ``n = residue (mod modulus)``, with ``w(n) = n`` when
+    weighted and 1 otherwise, listed below the least integer above ``target +
+    1/eta_den``.  ``euler_parts`` lists the ``(sign, e)`` of every Euler
+    factor; all of them come as one dense row from one ``_euler`` call, kept
+    through q^order and shared by every character with the same parts and
+    order.  ``target`` is the caller's h - c/24 + order: the result is exact
+    through it and no further (``order_exponent == target + 1/den``).  A
+    target that is not exactly ``order`` levels above the numerator's leading
+    term, or a theta term off those levels, raises RuntimeError, so every
+    build checks the caller's weight formula and the numerator's shape.
 
-    Everything happens on the lattice ``d = lcm`` of eta_den and the theta
-    denominators, in integers.  The theta numerator is the sum of its terms,
-    one series whose step must be its den: its terms lie whole levels apart
-    (the Virasoro numerator's two sums differ by integers; the others are one
-    sum), and so do the Euler row's.  So the product is one dense row of
-    ``order + 1`` levels: each theta entry adds its multiple of the Euler
-    row, shifted by its level, and that row is the character's row, one
-    entry per level.  ``q^(-1/eta_den)`` moves the leading position and
-    ``order`` down by ``d/eta_den``.  The result has the same den and terms
-    as the product of the theta numerator, the Euler series and a monomial
-    q^(-1/eta_den), cut after target.
+    The theta terms are integers ``(position, coefficient)`` on the scale's
+    lattice, from the enumerator ``_theta`` shares (no two terms of these
+    numerators share a position, so none cancel).  They must lie whole levels
+    apart (the Virasoro numerator's two classes differ by integers; the
+    others are one class), and so do the Euler row's.  So the product is one
+    dense row of ``order + 1`` levels: each theta term adds its multiple of
+    the Euler row, shifted by its level, in one ``_times`` pass, and that row
+    is the character's row, one entry per level, on the lattice ``d = lcm``
+    of eta_den and the coarsest lattice holding the theta terms.
+    ``q^(-1/eta_den)`` moves the leading position and ``order`` down by
+    ``d/eta_den``.  The result is the only series a build makes, with the
+    same den and terms as the product of the theta numerator, the Euler
+    series and a monomial q^(-1/eta_den), cut after target.
 
     Cached per argument set (a module-level ``lru_cache``), so a command
     builds each character once and every caller shares the immutable series.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    scale, modulus, weighted, classes = numerator
     bound = floor(target + Fraction(1, eta_den)) + 1
-    num = reduce(add, (theta(*args, bound) * sign for sign, theta, args in numerator))
-    d = lcm(eta_den, num.den)
-    lo, shift = num.lowest * (d // num.den), d // eta_den
+    u, w = scale.numerator, scale.denominator  # a theta term sits at position u*n*n on (1/w)Z
+    terms = [(p, sign * c) for sign, residue in classes
+             for p, c in _theta_terms(modulus, residue, u, bound * w, weighted)]
+    lead = min(terms, default=(0, 0))[0]
+    d = lcm(eta_den, w // gcd(w, *(p for p, _ in terms)))  # w // gcd: the terms' coarsest lattice
+    lo, shift = lead * d // w, d // eta_den
     stop = floor(target * d) + shift + 1
-    if stop != lo + order * d + 1 or stop > bound * d or num.step != num.den:
+    off_levels = any((p - lead) % w for p, _ in terms)
+    if not terms or stop != lo + order * d + 1 or stop > bound * d or off_levels:
         raise RuntimeError("internal truncation bookkeeping error")
-    row = _times(_euler(euler_parts, order), _nonzero(num.row))
+    row = _times(_euler(euler_parts, order), [((p - lead) // w, c) for p, c in terms])
     return FracSeries._of(d, stop - shift, lo - shift, d, row)

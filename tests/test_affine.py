@@ -24,7 +24,14 @@ from cosetchar.affine import (
 )
 from cosetchar.cli import MAX_PQ
 from cosetchar.minimal import KacLabel, MinimalModel
-from cosetchar.series import FracSeries, _euler, equal_through, monomial, theta_null
+from cosetchar.series import (
+    FracSeries,
+    _euler,
+    equal_through,
+    monomial,
+    theta_null,
+    weighted_theta,
+)
 
 F = Fraction
 L = KacLabel
@@ -274,16 +281,21 @@ def test_singular_weight_ladder():
 def _monomial_route(numerator, euler_parts, eta_den, target, order):
     """``series._character`` as products of series, the route it replaced.
 
-    The theta numerator is a series summed from the public theta functions; it
-    is multiplied by the ``_euler`` row as a series and then by the monomial
+    The theta numerator is a series summed from the public theta functions,
+    one per ``(sign, residue)`` class of the plain-data numerator; it is
+    multiplied by the ``_euler`` row as a series and then by the monomial
     q^(-1/eta_den), each through ``FracSeries.__mul__``.  The product knows
     at least as much as the character claims; it is cut after target.
     """
     bound = floor(target + F(1, eta_den)) + 1
+    scale, modulus, weighted, classes = numerator
     num = None
-    for sign, theta, args in numerator:
-        term = theta(*args, bound) * sign
-        num = term if num is None else num + term
+    for sign, b in classes:
+        if weighted:
+            theta = weighted_theta(modulus, b, scale * modulus**2, bound)
+        else:
+            theta = theta_null(modulus // 2, b, bound)
+        num = theta * sign if num is None else num + theta * sign
     out = num * FracSeries(1, 0, _euler(euler_parts, order))
     span = out.order - out.lowest
     out = out * monomial(1, -1, eta_den, eta_den * span // out.den + eta_den + 1)
@@ -368,14 +380,35 @@ def test_character_refuses_a_target_off_the_theta_route(monkeypatch, build, step
 
 @pytest.mark.parametrize("order", [0, 3, 12])
 def test_character_refuses_a_numerator_of_two_classes(order):
-    # theta_null(1, 0) sits on whole levels and theta_null(2, 1) at 1/8 above
-    # them: the window check passes on the leading term q^0, but the sum is
-    # not one integer-spaced row, and is refused
+    # the residue-0 class, theta_null(1, 0), sits on whole levels and the
+    # residue-1 class, theta_null(1, 1), 1/4 above them: the window check
+    # passes on the leading term q^0, but the sum is not one integer-spaced
+    # row, and is refused
     args = dict(euler_parts=((-1, -1),), eta_den=24, target=order - F(1, 24), order=order)
-    one = ((1, theta_null, (1, 0)),)
+    one = (F(1, 4), 2, False, ((1, 0),))
     assert series._character(one, **args).leading_term() == (F(-1, 24), 1)
     with pytest.raises(RuntimeError, match="bookkeeping"):
-        series._character(one + ((1, theta_null, (2, 1)),), **args)
+        series._character((F(1, 4), 2, False, ((1, 0), (1, 1))), **args)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MinimalModel(10, 7).character(L(2, 3), 40),
+    lambda: osp_character(OspLabel(2, 3), 40),
+    lambda: sl2_character(Sl2Label(7, 5), 40),
+], ids=["vir", "osp", "sl2"])
+def test_a_cold_character_build_makes_one_series(monkeypatch, build):
+    # the theta numerator is read as integer terms, not built as series: the
+    # character itself is the only FracSeries a cold build stores
+    built, store = [], series._store
+
+    def recording(*args):
+        built.append(store(*args))
+        return built[-1]
+
+    monkeypatch.setattr(series, "_store", recording)
+    series._character.cache_clear()
+    got = build()
+    assert len(built) == 1 and built[0] is got
 
 
 # --- supercharacter: the Andrews-Gordon product route -----------------------

@@ -196,6 +196,10 @@ def test_non_integer_coefficient_or_scalar_is_refused(bad):
     assert -s == s * -1 == FracSeries(2, -1, [-1, 0, -3])
 
 
+# integral values that are not ints: int() would read each as 2
+_INTEGRAL_NON_INTS = [2.0, F(2), Decimal(2), "2"]
+
+
 @pytest.mark.parametrize("build", [
     lambda: FracSeries(2.5, 0, [1]),
     lambda: FracSeries(2, 0.7, [1, 2]),
@@ -204,7 +208,13 @@ def test_non_integer_coefficient_or_scalar_is_refused(bad):
     lambda: monomial(1, 1, 2.0, 3),
     lambda: monomial(1, 1, 2, 3.0),
     lambda: monomial(1, F(1), 2, 3),
-], ids=["den", "lowest", "den-fraction", "num", "monomial-den", "order_terms", "num-fraction"])
+    *[lambda bad=bad: theta_null(bad, 1, 3) for bad in _INTEGRAL_NON_INTS],
+    *[lambda bad=bad: theta_null(1, bad, 3) for bad in _INTEGRAL_NON_INTS],
+    *[lambda bad=bad: weighted_theta(bad, 1, 1, 3) for bad in _INTEGRAL_NON_INTS],
+    *[lambda bad=bad: weighted_theta(4, bad, 1, 3) for bad in _INTEGRAL_NON_INTS],
+], ids=["den", "lowest", "den-fraction", "num", "monomial-den", "order_terms", "num-fraction",
+        *[f"{f}-{arg}-{type(bad).__name__}" for f in ("theta_null", "weighted_theta")
+          for arg in "ab" for bad in _INTEGRAL_NON_INTS]])
 def test_non_integer_position_is_refused(build):
     # int() would truncate these, to a different series than asked for
     with pytest.raises(TypeError):
@@ -1103,7 +1113,8 @@ def test_decomposition_series_hold_one_entry_per_level(monkeypatch):
     for cache in (coset._summand_series, series._character, series._euler):
         cache.cache_clear()
     assert coset.verify_decomposition(40).passed
-    assert len(built) > 20 and max(s.den for s in built) == 840
+    # the 10 characters and 7 products, and no intermediate theta series
+    assert len(built) == 17 and max(s.den for s in built) == 840
     assert all(s.step == s.den for s in built)
     rows = [s for s in built if s.den == 840 and len(s.row) == 41]
     assert len(rows) >= 7  # the characters and products through order 40
