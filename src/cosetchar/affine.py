@@ -161,6 +161,8 @@ def _osp_supercharacter(lab: OspLabel, order: int) -> FracSeries:
     and -H (r = 3).  One dense pass per allowed n, with no theta sum or Euler row.
     """
     order = index(order)
+    if order < 0:
+        raise ValueError("order must be >= 0")
     a = 2 * lab.l + 3
     row = [1] + [0] * order
     for n in range(1, order + 1):

@@ -17,8 +17,11 @@ Every CSV form, the verification reports' tables too, is written by
 ``_csv``: one line of comma-joined fields per row.  The
 integer tuples ``--a``/``--b`` (R,S) and ``--perturb`` (ROW:COL:DELTA) are
 read by ``_ints``, each field in the integer form of ``T_FORM``; an empty
-``--perturb`` is refused like any other malformed one.  A handler returns
-its text without the final newline; ``main`` appends it.
+``--perturb`` is refused like any other malformed one.  A value of
+``--t``, ``--a``, ``--b`` or ``--perturb`` may start with ``-`` and a digit
+(``--perturb -0:0:1``): ``_join_signed`` hands it to the flag, not to
+argparse as a flag.  A handler returns its text without the final newline;
+``main`` appends it.
 
 The grammar is built once per process, when this module is imported, and
 never changes; each ``main`` call parses into a fresh namespace.  The
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -49,15 +53,21 @@ MAX_PQ = 16
 MAX_LEVEL = 150
 
 
-def _join_t(argv: list[str]) -> list[str]:
-    """argv with ``--t VALUE`` as ``--t=VALUE`` when VALUE has ``T_FORM``.
+# flags whose value is read field by field, each field with an optional sign
+SIGNED_FLAGS = ("--t", "--perturb", "--a", "--b")
 
-    argparse would read a value such as ``-3/2`` as a flag.
+
+def _join_signed(argv: list[str]) -> list[str]:
+    """argv with ``FLAG VALUE`` as ``FLAG=VALUE`` for FLAG in SIGNED_FLAGS, VALUE ``-`` and a digit.
+
+    argparse would read a value such as ``-3/2`` or ``-0:0:1`` as a flag; the
+    flag's own reader refuses a malformed value in one line.  Any other token,
+    ``--format`` or ``-x`` too, is left to argparse.
     """
     out = []
     for tok in argv:
-        if out and out[-1] == "--t" and T_FORM.fullmatch(tok):
-            out[-1] = f"--t={tok}"
+        if out and out[-1] in SIGNED_FLAGS and re.match("-[0-9]", tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -381,7 +391,7 @@ def cmd_singular(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(_join_t(sys.argv[1:] if argv is None else argv))
+    args = _PARSER.parse_args(_join_signed(sys.argv[1:] if argv is None else argv))
     ns = vars(args)  # --order is absent unless given; note whether, then default
     args.order_given = "order" in ns
     order = ns.setdefault("order", DEFAULT_ORDER)

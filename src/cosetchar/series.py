@@ -7,10 +7,12 @@ last.  ``step`` is the gcd of ``den`` and the spacings of the nonzero terms,
 so every series the package builds holds one entry per whole level.  Every
 operation tracks the largest exponent bound below which its result is still
 exact: asking for a coefficient at or beyond it raises instead of returning
-zero.  A coefficient read is a slice of the row.  A product puts both rows on
-one step, never multiplies or packs an entry that cannot land below its
-bound, and multiplies short rows by a loop over nonzero entries, long ones
-as two packed ``int``s (Kronecker substitution).
+zero.  Rows serve the product, the coefficient reads and the characters.  A
+coefficient read is a slice of the row.  A product puts both rows on one
+step, never multiplies or packs an entry that cannot land below its bound,
+and multiplies short rows by a loop over nonzero entries, long ones as two
+packed ``int``s (Kronecker substitution).  The other operations, which no
+hot path runs (``+``, ``==``, :func:`equal_through`), read the nonzero terms.
 
 The module also provides the handful of special series the characters of
 this package are made of: plain monomial prefactors, Euler products
@@ -248,21 +250,19 @@ class FracSeries:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "FracSeries") -> "FracSeries":
+        """Sum on the lcm lattice, exact below the lower of the two bounds.
+
+        Read as terms: both series' nonzero terms, scaled to the common
+        lattice and cut at the common bound, go to ``_from_terms``, which adds
+        the coefficients at one position and drops the zeros.
+        """
         if not isinstance(other, FracSeries):
             return NotImplemented
         d = lcm(self.den, other.den)
         fa, fb = d // self.den, d // other.den
         order = min(self.order * fa, other.order * fb)
-        parts = [(s.lowest * f, s.step * f, s.row) for s, f in ((self, fa), (other, fb)) if s.row]
-        lead = min((lo for lo, _, _ in parts), default=order)
-        g = gcd(d, *(step for _, step, _ in parts), *(lo - lead for lo, _, _ in parts))
-        n = -(-(order - lead) // g)  # slots lead + g*k below order
-        out = [0] * n
-        for lo, step, row in parts:
-            first = (lo - lead) // g
-            part = _spread(row, step // g, max(0, n - first))
-            out[first : first + len(part)] = map(add, out[first : first + len(part)], part)
-        return FracSeries._of(d, order, lead, g, out)
+        pairs = [(p * f, c) for s, f in ((self, fa), (other, fb)) for p, c in s.terms]
+        return FracSeries._from_terms(d, order, [t for t in pairs if t[0] < order])
 
     def __neg__(self) -> "FracSeries":
         return self * -1
@@ -316,11 +316,14 @@ class FracSeries:
         """Equal iff the exactness bounds and all nonzero terms are the same.
 
         The lattice is not part of the value.  To compare series with
-        different bounds on a prefix, use :func:`equal_through`.
+        different bounds on a prefix, use :func:`equal_through`.  Read as
+        terms: the bounds and the lists of nonzero (exponent, coefficient)
+        pairs are compared.
         """
         if not isinstance(other, FracSeries):
             return NotImplemented
-        return self.order * other.den == other.order * self.den and _same_terms(self, other)
+        return (self.order_exponent == other.order_exponent
+                and list(self.nonzero_terms()) == list(other.nonzero_terms()))
 
     # -- serialization ---------------------------------------------------
 
@@ -522,28 +525,19 @@ def weighted_theta(a: int, b: int, c: Fraction | int, order: int) -> FracSeries:
     return _theta(a, b, c / a**2, order, True)
 
 
-def _same_terms(a: FracSeries, b: FracSeries) -> bool:
-    """True iff a and b have the same nonzero terms, whatever their lattices and bounds."""
-    if a.row != b.row:
-        return False
-    return not a.row or (a.lowest * b.den == b.lowest * a.den and a.step * b.den == b.step * a.den)
-
-
 def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
     """True iff a and b have the same coefficient at every exponent <= bound.
 
     Raises ValueError unless both series are exact through bound, so the
     comparison never passes on a region that one side does not know.  Unlike
-    ``==`` it ignores what either side knows beyond bound.
+    ``==`` it ignores what either side knows beyond bound.  Read as terms:
+    the nonzero terms at exponents <= bound are compared.
     """
     bound = Fraction(bound, 1)
-    cut = []
     for s in (a, b):
         s._require_known(bound)
-        top = bound.numerator * s.den // bound.denominator  # the last position <= bound
-        kept = s.row[: max(0, (top - s.lowest) // s.step + 1)]
-        cut.append(FracSeries._of(s.den, top + 1, s.lowest, s.step, kept))
-    return _same_terms(*cut)
+    cut_a, cut_b = ([t for t in s.nonzero_terms() if t[0] <= bound] for s in (a, b))
+    return cut_a == cut_b
 
 
 @lru_cache(maxsize=128)

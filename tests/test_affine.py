@@ -162,7 +162,8 @@ def test_gko_coset_identity(k):
     lambda order: osp_character(OspLabel(1, 1), order),
     lambda order: sl2_character(Sl2Label(1, 0), order),
     lambda order: branch_character(2, 3, "even", order),
-], ids=["vir", "osp", "sl2", "branch"])
+    lambda order: affine._osp_supercharacter(OspLabel(1, 1), order),
+], ids=["vir", "osp", "sl2", "branch", "supercharacter"])
 @pytest.mark.parametrize("order", [-1, -3])
 def test_character_rejects_negative_order(build, order):
     with pytest.raises(ValueError, match="order must be >= 0"):

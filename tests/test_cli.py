@@ -195,6 +195,20 @@ def test_integer_fields_may_carry_a_sign(capsys):
     plain = run(capsys, "verify", "decomposition", "--order", "2", "--perturb", "0:0:1")
     assert plain[0] == 1
     assert run(capsys, "verify", "decomposition", "--order", "2", "--perturb", "+0:0:+1") == plain
+    # and a leading -, which argparse alone would read as a flag
+    assert run(capsys, "verify", "decomposition", "--order", "2", "--perturb", "-0:0:1") == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "decomposition", "--order", "3", "--perturb", "-1:0:1"),
+    ("fusion", "vir", "3", "4", "--a", "-1,1", "--b", "1,1"),
+    ("fusion", "ext", "--a", "1,1", "--b", "-2,3"),
+    ("singular", "--alpha", "1", "--beta", "1", "--t", "-1e5"),
+])
+def test_a_dash_leading_value_is_refused_by_its_reader(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_fusion_invalid_label(capsys):

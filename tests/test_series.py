@@ -684,6 +684,33 @@ def test_mul_distributes_over_add(a, b, c):
         assert [t for t in left.nonzero_terms() if t[0] < bound] == list(right.nonzero_terms())
 
 
+@given(a=frac_series(), b=frac_series())
+@settings(max_examples=200, deadline=None)
+def test_sum_and_comparisons_match_slot_by_slot_reference(a, b):
+    # +, == and equal_through read terms; each is checked here against coeff
+    # reads at every slot of the lcm lattice below the common bound.  The
+    # second pair is a and its dense copy on that lattice, built from those
+    # reads, so == and equal_through also meet equal series
+    d = lcm(a.den, b.den)
+    top = min(a.order * (d // a.den), b.order * (d // b.den))
+    lo = min(a.lowest * (d // a.den), b.lowest * (d // b.den), top) - 2
+    slots = [F(p, d) for p in range(lo, top)]
+    copy = FracSeries(d, lo, [a.coeff(x) for x in slots])
+    for x, y in ((a, b), (a, copy)):
+        total = x + y
+        assert total.order_exponent == F(top, d)
+        assert all(p < total.order for p, _ in total.terms)  # no term past the bound
+        assert [total.coeff(e) for e in slots] == [x.coeff(e) + y.coeff(e) for e in slots]
+        with pytest.raises(ValueError):
+            total.coeff(F(top, d))
+        same = [x.coeff(e) == y.coeff(e) for e in slots]
+        assert (x == y) == (x.order_exponent == y.order_exponent and all(same))
+        for k, e in enumerate(slots):
+            assert equal_through(x, y, e) == all(same[: k + 1]), e
+        with pytest.raises(ValueError):
+            equal_through(x, y, F(top, d))
+
+
 @given(a=frac_series())
 @settings(max_examples=60, deadline=None)
 def test_monomial_one_is_unit(a):
