@@ -27,7 +27,7 @@ from operator import index
 from typing import Literal
 
 from .minimal import KacLabel, MinimalModel
-from .series import FracSeries, _character
+from .series import FracSeries, _character, _rat
 
 __all__ = [
     "OspLabel",
@@ -112,9 +112,8 @@ class BranchTerm:
         return sl2_weight(self.sl2) + branch_model(self.l).conformal_weight(self.vir)
 
     def to_json(self) -> dict:
-        w = self.weight
         return {"sl2": {"level": self.l, "i": self.i}, "vir": self.vir._asdict(),
-                "parity": self.parity, "weight": f"{w.numerator}/{w.denominator}"}
+                "parity": self.parity, "weight": _rat(self.weight)}
 
 
 def osp_central_charge(l: int) -> Fraction:

@@ -20,8 +20,10 @@ read by ``_ints``, each field in the integer form of ``T_FORM``; an empty
 ``--perturb`` is refused like any other malformed one.  A value of
 ``--t``, ``--a``, ``--b`` or ``--perturb`` may start with ``-`` and a digit
 (``--perturb -0:0:1``): ``_join_signed`` hands it to the flag, not to
-argparse as a flag.  A handler returns its text without the final newline;
-``main`` appends it.
+argparse as a flag.  A ``--perturb`` delta of 0 is refused, since it
+injects no fault, and ``fusion --table`` refuses ``--a`` and ``--b``.
+Every rational is printed in the ``N/D`` form of ``series._rat``.  A
+handler returns its text without the final newline; ``main`` appends it.
 
 The grammar is built once per process, when this module is imported, and
 never changes; each ``main`` call parses into a fresh namespace.  The
@@ -41,7 +43,7 @@ from fractions import Fraction
 
 from . import affine, coset, extension
 from .minimal import KacLabel, MinimalModel
-from .series import T_FORM
+from .series import T_FORM, _rat
 
 DEFAULT_ORDER = 20
 # size caps: one for the order, one for p and q (the model is symmetric in
@@ -71,10 +73,6 @@ def _join_signed(argv: list[str]) -> list[str]:
         else:
             out.append(tok)
     return out
-
-
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 # label flags of each char kind, in the order of the label's constructor
@@ -279,6 +277,9 @@ def cmd_fusion(args) -> tuple[str, int]:
             raise ValueError("fusion ext takes no positional P Q")
         fuse, labels, make = extension.ext_fuse, extension.ext_irreducibles, extension.ext_label
     if args.table:
+        for flag, value in (("--a", args.a), ("--b", args.b)):
+            if value is not None:
+                raise ValueError(f"fusion --table does not read {flag}")
         pairs = itertools.product(labels(), repeat=2)
     elif args.a and args.b:
         pairs = [tuple(make(*_ints(x, ",", 2, f"label {x!r} is not of the form R,S"))

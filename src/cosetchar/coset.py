@@ -27,15 +27,18 @@ the columns of its candidates.  An order that is not an integer raises
 TypeError before the cached table is read.
 
 A ``VerificationReport`` renders itself only as JSON (``to_json_dict``,
-``dumps``); the command line builds its text and CSV forms.
+``dumps``); the command line builds its text and CSV forms.  Its verdict
+``passed`` is derived from its comparisons, scanned once on first read; a
+non-integral value goes to JSON in the ``N/D`` form of ``series._rat``.  A
+perturbation with a delta of 0 injects no fault and is refused.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import index
 
 from .affine import (
@@ -48,7 +51,7 @@ from .affine import (
     singular_weights,
 )
 from .minimal import KacLabel, MinimalModel
-from .series import FracSeries
+from .series import FracSeries, _rat
 
 __all__ = [
     "DecompositionSpec",
@@ -106,17 +109,15 @@ class VerificationReport:
     order: int
     rows: tuple[tuple[str, tuple[int | Fraction, ...]], ...]
     comparisons: tuple[Comparison, ...]
-    passed: bool = field(init=False)
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "passed", all(c.ok for c in self.comparisons))
+    @cached_property
+    def passed(self) -> bool:
+        """True iff no comparison mismatches; derived from the comparisons, scanned once."""
+        return self.first_mismatch() is None
 
     def first_mismatch(self) -> Comparison | None:
-        for c in self.comparisons:
-            if not c.ok:
-                return c
-        return None
+        return next((c for c in self.comparisons if not c.ok), None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,7 +135,7 @@ class VerificationReport:
 
 
 def _json_rat(c: int | Fraction):
-    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return int(c) if c.denominator == 1 else _rat(c)
 
 
 def _coeff_row(series: FracSeries, order: int) -> tuple[int, ...]:
@@ -205,8 +206,9 @@ def verify_decomposition(
     Columns are the coefficients of q^(-1/30 + k), k = 0..order.  perturb,
     when given as (row, column, delta), shifts one summand coefficient before
     summing; it exists so that the failure path stays honest and testable.
-    A position outside the 6 x (order+1) summand table raises ValueError, a
-    non-integer row, column or delta TypeError, both before the table is built.
+    A position outside the 6 x (order+1) summand table or a delta of 0 (no
+    fault) raises ValueError, a non-integer row, column or delta TypeError,
+    all before the table is built.
     """
     order = index(order)
     if perturb is not None:
@@ -217,6 +219,8 @@ def verify_decomposition(
                 f"perturb position {row}:{col} lies outside the "
                 f"{size} x {order + 1} summand table"
             )
+        if not delta:
+            raise ValueError("perturb delta 0 injects no fault")
     *products, (target_name, target) = _summand_series(order)
     notes = ()
     if perturb is not None:

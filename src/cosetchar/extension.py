@@ -5,7 +5,10 @@ with the weight-10 simple current sends a canonical label (r, s) to
 (r, 10-s), so the 27 canonical labels fall into 12 two-element orbits and 3
 fixed points (the s = 5 column).  Each orbit carries one extended module;
 each fixed point carries two inequivalent ones, which this module tracks
-only through a flag.
+only through a flag.  The action is written once, in
+``simple_current_image``, and the orbit representative once, in ``_orbit``:
+a label's constituents, its orbit, the induced fold and the census
+(``classify_ext_modules``, read from ``ext_irreducibles``) all use them.
 
 Extended fusion is computed by inducing: pick one Virasoro constituent of
 each factor, fuse them in the minimal model, then replace every label in the
@@ -77,10 +80,9 @@ class ExtLabel:
 
     @cached_property
     def constituents(self) -> tuple[KacLabel, KacLabel]:
-        return (
-            MODEL.canon(KacLabel(self.r, self.s)),
-            MODEL.canon(KacLabel(7 - self.r, self.s)),
-        )
+        """V(r,s) (canonical, as r <= 3) and its simple-current image."""
+        lab = KacLabel(self.r, self.s)
+        return lab, simple_current_image(lab)
 
     @property
     def fixed_point(self) -> bool:
@@ -94,10 +96,15 @@ class ExtLabel:
 
     def orbit(self) -> "ExtLabel":
         """Orbit representative: same module, s pulled into 1..5."""
-        return ExtLabel(self.r, min(self.s, 10 - self.s))
+        return _orbit(self.r, self.s)
 
     def __str__(self):
         return f"Ext({self.r},{self.s})"
+
+
+def _orbit(r: int, s: int) -> ExtLabel:
+    """The orbit representative of the presented label (r, s): (r, min(s, 10-s))."""
+    return ExtLabel(r, min(s, 10 - s))
 
 
 def ext_label(r: int, s: int) -> ExtLabel:
@@ -122,9 +129,9 @@ def classify_ext_modules() -> tuple[list[ExtLabel], list[KacLabel]]:
     structure) and the 3 fixed-point labels (two structures each);
     2 * 12 + 3 = 27.
     """
-    labels = MODEL.canonical_labels()
-    fixed = [lab for lab in labels if simple_current_image(lab) == lab]
-    orbits = {ExtLabel(lab.r, lab.s).orbit() for lab in labels if lab not in fixed}
+    labels = ext_irreducibles()
+    fixed = [lab.constituents[0] for lab in labels if lab.fixed_point]
+    orbits = {lab.orbit() for lab in labels if not lab.fixed_point}
     return sorted(orbits), fixed
 
 
@@ -168,7 +175,7 @@ def _induced(t1: KacLabel, t2: KacLabel) -> ExtModuleSum:
     """Orbit fold of the minimal-model product of canonical constituents t1 <= t2."""
     out = {}
     for lab, m in MODEL.fuse(t1, t2):
-        key = ExtLabel(lab.r, min(lab.s, 10 - lab.s))
+        key = _orbit(lab.r, lab.s)
         out[key] = out.get(key, 0) + m
     return ExtModuleSum._from_mults(out)
 

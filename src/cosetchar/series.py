@@ -31,6 +31,11 @@ character once.
 ``==`` is strict: equal series have the same exactness bound and nonzero terms.
 :func:`equal_through` compares two series of any bounds through a given
 exponent, which both must know.
+
+The ``N/D`` text form of an exact number has one reader, ``T_FORM``, and
+one writer, ``_rat``; a series' JSON coefficients, the reports' fractions,
+the branching weights and every rational the command line prints come from
+it.  ``loads`` refuses a JSON boolean where an integer field belongs.
 """
 
 from __future__ import annotations
@@ -69,6 +74,11 @@ _KRONECKER_MIN_TERMS = 8
 # an integer or NUM/DEN in ASCII digits.  Fraction would also read an exponent
 # such as 1e99999999, and build 10**99999999
 T_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rat(x) -> str:
+    """The ``N/D`` form of an int or a Fraction: the one form written, which T_FORM reads."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _bias(length: int, wb: int, half: int) -> int:
@@ -331,12 +341,19 @@ class FracSeries:
         # every zero slot shares one string: a fine lattice is mostly zeros
         lo = self.lowest
         coeffs = ["0/1"] * (self.order - lo)
-        coeffs[: len(self.row) * self.step : self.step] = [f"{c}/1" for c in self.row]
+        coeffs[: len(self.row) * self.step : self.step] = map(_rat, self.row)
         return {"denominator": self.den, "lowest": lo, "coeffs": coeffs, "order": self.order}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FracSeries":
-        """Series from ``to_json_dict``; ``coeffs`` must list integers in ``T_FORM``."""
+        """Series from ``to_json_dict``; ``coeffs`` must list integers in ``T_FORM``.
+
+        ``denominator``, ``lowest`` and ``order`` must be integers: a JSON
+        boolean, which Python reads as 0 or 1, raises TypeError.
+        """
+        for key in ("denominator", "lowest", "order"):
+            if isinstance(d[key], bool):
+                raise TypeError(f"series {key} must be an integer, not a boolean")
         if not isinstance(d["coeffs"], list):
             raise TypeError("series coeffs must be a JSON array")
         forms = [T_FORM.fullmatch(c) for c in d["coeffs"]]  # before any parse

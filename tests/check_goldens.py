@@ -10,7 +10,10 @@ it: its name does not start with ``test_``.
   forward with the package caches cleared before each argv, then in reverse
   on the caches the earlier argvs left.  So parser state carried from one
   ``main`` call to the next, or a cached series that a later command
-  changes, shows up.
+  changes, shows up.  Besides the exit code and stdout, each run's stderr
+  must fit its exit code: empty on exit 0, only ``first mismatch`` lines
+  (at least one) on exit 1, and on exit 2 argparse's usage text or exactly
+  one ``error:`` line.
 - fusion-ring: every fusion op in the first round of seeds 1-3, run once with
   the caches cleared first and once more on the caches that run left.  A
   shared product that a later op changes, or a warm lookup that differs from
@@ -19,6 +22,7 @@ it: its name does not start with ``test_``.
   n = 100..200, each with the caches cleared first.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +33,16 @@ import worker  # noqa: E402
 import workloads as wl  # noqa: E402
 
 
+def stderr_fits(code, err: str) -> bool:
+    """Whether a run's stderr is what its exit code allows."""
+    lines = err.splitlines()
+    if code == 1:
+        return bool(lines) and all(re.fullmatch(r"[a-z-]+: first mismatch at .*", x) for x in lines)
+    if code == 2:
+        return err.startswith("usage: ") or (err.startswith("error: ") and err.count("\n") == 1)
+    return err == ""
+
+
 def cli_mix(pkg, caches):
     golden = wl.load_goldens("cli-mix")
     argvs = wl.cli_universe() + wl.CONTRACT_PROBES
@@ -37,7 +51,10 @@ def cli_mix(pkg, caches):
         for argv in run:
             if state == "cold":
                 caches.clear()
-            problem = wl.check(golden, ("cli", argv), *wl.run_cli(pkg.cli, argv))
+            code, out, err = wl.run_cli(pkg.cli, argv)
+            problem = wl.check(golden, ("cli", argv), code, out, err)
+            if not problem and not stderr_fits(code, err):
+                problem = f"{argv!r}: exit {code} with stderr {err!r}"
             if problem:
                 bad.append(f"{state}: {problem}")
     return bad, f"{2 * len(argvs)} argvs"

@@ -358,6 +358,13 @@ def test_perturb_outside_table_is_usage_error(capsys, spec):
     assert "6 x 6 summand table" in err
 
 
+@pytest.mark.parametrize("which", ["decomposition", "all"])
+def test_perturb_delta_zero_is_usage_error(capsys, which):
+    # a delta of 0 injects no fault: the run used to exit 0 with a passing report
+    code, out, err = run(capsys, "verify", which, "--order", "2", "--perturb", "0:0:0")
+    assert (code, out, err) == (2, "", "error: perturb delta 0 injects no fault\n")
+
+
 def test_unwritable_output_is_usage_error(capsys):
     code, out, err = run(capsys, "kac-table", "10", "7", "--output", "/nonexistent/x.json")
     assert code == 2
@@ -477,8 +484,9 @@ def test_singular_direct_evaluation_refuses_csv(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# The flags each subcommand reads (char: per kind), written out independently
-# of the parser; any other flag must be refused.
+# The flags each subcommand reads (char: per kind, fusion: per mode, a pair
+# or the --table), written out independently of the parser; any other flag
+# must be refused.
 _COMMON = ("--format", "--output")
 READS = {
     "kac-table": _COMMON,
@@ -486,7 +494,8 @@ READS = {
     "char osp": _COMMON + ("--order", "--level", "--r"),
     "char sl2": _COMMON + ("--order", "--level", "--i"),
     "verify": _COMMON + ("--order", "--perturb"),
-    "fusion": _COMMON + ("--a", "--b", "--table"),
+    "fusion": _COMMON + ("--a", "--b"),
+    "fusion --table": _COMMON + ("--table",),
     "classify": _COMMON,
     "weights": _COMMON + ("--level", "--r"),
     "singular": _COMMON + ("--order", "--alpha", "--beta", "--t"),
@@ -500,6 +509,7 @@ _BASE = {
     "char sl2": ("char", "sl2", "--level", "1", "--i", "0", "--order", "0"),
     "verify": ("verify", "central-charge"),
     "fusion": ("fusion", "ext", "--a", "1,1", "--b", "1,1"),
+    "fusion --table": ("fusion", "ext", "--table"),
     "classify": ("classify",),
     "weights": ("weights", "--level", "1"),
     "singular": ("singular", "--alpha", "1", "--beta", "1", "--t", "1/2"),
@@ -561,6 +571,12 @@ _VALUES = {
     "--beta": st.integers(-4, 4),
     "--t": _mostly(st.sampled_from(("10/7", "5/4", "-3/2")), st.sampled_from(("0", "1/0", "x"))),
 }
+_FUSION_POSITIONALS = _mostly(
+    st.one_of(st.just(("ext",)),
+              st.sampled_from(((4, 3), (5, 4), (7, 5), (12, 11))).map(lambda m: ("vir", *m))),
+    st.tuples(st.sampled_from(("vir", "ext")),
+              *[st.integers(2, 12)] * 2).map(lambda t: t[:1] + t[1:][:t[1] % 3]),
+)
 # positionals after the command words of each READS key
 _POSITIONALS = {
     "kac-table": _mostly(st.tuples(st.integers(3, 12), st.integers(3, 12)),
@@ -570,12 +586,8 @@ _POSITIONALS = {
     "char sl2": st.just(()),
     "verify": st.tuples(st.sampled_from(("decomposition", "all", "central-charge",
                                          "even-refinement", "singular-ladder", "x"))),
-    "fusion": _mostly(
-        st.one_of(st.just(("ext",)),
-                  st.sampled_from(((4, 3), (5, 4), (7, 5), (12, 11))).map(lambda m: ("vir", *m))),
-        st.tuples(st.sampled_from(("vir", "ext")),
-                  *[st.integers(2, 12)] * 2).map(lambda t: t[:1] + t[1:][:t[1] % 3]),
-    ),
+    "fusion": _FUSION_POSITIONALS,
+    "fusion --table": _FUSION_POSITIONALS,
     "classify": st.just(()),
     "weights": st.just(()),
     "singular": st.just(()),
@@ -586,6 +598,9 @@ _POSITIONALS = {
 def _cli_argv(draw, command):
     argv = [*command.split(), *map(str, draw(_POSITIONALS[command]))]
     own = READS[command]
+    # a flag in the words of a sibling key (fusion's --table) selects that
+    # mode; alone it is that mode's argv, so it is never drawn as foreign
+    modes = {w for key in READS if key.split()[0] == argv[0] for w in key.split()[1:]}
     # each flag of the command never, half or nine tenths of the time, --output
     # rarely (it empties stdout); a fifth of the argvs add one flag of another
     keep = draw(st.sampled_from((0, 1, 9)))
@@ -593,7 +608,7 @@ def _cli_argv(draw, command):
     if draw(st.integers(0, 7)) == 0:
         flags.append("--output")
     if draw(st.integers(0, 4)) == 0:
-        flags.append(draw(st.sampled_from(sorted(set(_VALUES) - set(own)))))
+        flags.append(draw(st.sampled_from(sorted(set(_VALUES) - set(own) - modes))))
     for flag in draw(st.permutations(flags)):
         if _VALUES[flag] is None:
             argv.append(flag)

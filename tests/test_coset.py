@@ -220,6 +220,15 @@ def test_perturb_position_is_refused_before_the_table(check, perturb):
     assert _summand_series.cache_info().misses == 0
 
 
+@pytest.mark.parametrize("check", [verify_decomposition, run_all])
+def test_perturb_delta_zero_is_refused_before_the_table(check):
+    # a delta of 0 injects no fault, so the report would pass
+    _summand_series.cache_clear()
+    with pytest.raises(ValueError, match=r"^perturb delta 0 injects no fault$"):
+        check(50, (0, 0, 0))
+    assert _summand_series.cache_info().misses == 0
+
+
 def test_ladder_comparisons_are_decomposition_columns():
     for order in range(41):
         columns = {c.exponent: c for c in verify_decomposition(order).comparisons}

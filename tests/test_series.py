@@ -282,6 +282,15 @@ def test_json_load_refuses_coeffs_that_are_not_an_array(coeffs):
         FracSeries.loads(json.dumps({"denominator": 1, "lowest": 0, "coeffs": coeffs, "order": 2}))
 
 
+@pytest.mark.parametrize("field", ["denominator", "lowest", "order"])
+def test_json_load_refuses_a_boolean_integer_field(field):
+    # Python reads a JSON true as 1: a denominator true loaded as den 1, a
+    # lowest true as a term at q^1
+    d = {"denominator": 1, "lowest": 0, "coeffs": ["1/1"], "order": 3, field: True}
+    with pytest.raises(TypeError, match=f"series {field} must be an integer"):
+        FracSeries.loads(json.dumps(d))
+
+
 # --- euler_product ---------------------------------------------------------
 
 def test_euler_product_partition_numbers():
