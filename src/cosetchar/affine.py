@@ -66,7 +66,7 @@ class OspLabel:
     @property
     def lead(self) -> Fraction:
         """h - c/24: the exponent of the leading term of the character of M_r."""
-        return osp_weight(self.l, self.r) - osp_central_charge(self.l) / 24
+        return Fraction(*_osp_lead(self))
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,17 @@ def osp_character(lab: OspLabel, order: int = 20) -> FracSeries:
     order = index(order)
     a = 2 * lab.l + 3
     return _character(
-        (Fraction(1, 8 * a), 2 * a, True, ((1, lab.r),)),
+        ((1, 8 * a), 2 * a, True, ((1, lab.r),)),
         euler_parts=((1, 2), (-1, -3)),
         eta_den=24,
-        target=lab.lead + order,
+        lead=_osp_lead(lab),
         order=order,
     )
+
+
+def _osp_lead(lab: OspLabel) -> tuple[int, int]:
+    """h - c/24 of M_r as the integer pair (3(r^2 - 1) - 2l) / 24(2l+3)."""
+    return 3 * (lab.r * lab.r - 1) - 2 * lab.l, 24 * (2 * lab.l + 3)
 
 
 def _osp_supercharacter(lab: OspLabel, order: int) -> FracSeries:
@@ -186,10 +191,10 @@ def sl2_character(lab: Sl2Label, order: int = 20) -> FracSeries:
     order = index(order)
     k = lab.l + 2
     return _character(
-        (Fraction(1, 4 * k), 2 * k, True, ((1, lab.i + 1),)),
+        ((1, 4 * k), 2 * k, True, ((1, lab.i + 1),)),
         euler_parts=((-1, -3),),
         eta_den=8,
-        target=sl2_weight(lab) - sl2_central_charge(lab.l) / 24 + order,
+        lead=(2 * lab.i * (lab.i + 2) - lab.l, 8 * k),  # h_i - c/24 = (2i(i+2) - l) / 8(l+2)
         order=order,
     )
 

@@ -281,7 +281,7 @@ def cmd_fusion(args) -> tuple[str, int]:
             if value is not None:
                 raise ValueError(f"fusion --table does not read {flag}")
         pairs = itertools.product(labels(), repeat=2)
-    elif args.a and args.b:
+    elif args.a is not None and args.b is not None:
         pairs = [tuple(make(*_ints(x, ",", 2, f"label {x!r} is not of the form R,S"))
                        for x in (args.a, args.b))]
     else:

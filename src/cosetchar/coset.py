@@ -192,10 +192,16 @@ def _summand_series(order: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return (*products, ("ch[L(1,0)^2]", _coeff_row(ch * ch, order)))
 
 
-def _sum_rule(products, target, order: int):
+def _columns(lead: Fraction, order: int) -> list[Fraction]:
+    """The exponents lead + k, k = 0..order, each built from integers."""
+    num, den = lead.as_integer_ratio()
+    return [Fraction(num + k * den, den) for k in range(order + 1)]
+
+
+def _sum_rule(products, target, columns: list[Fraction]):
     """Column sums of the product rows, and their comparisons with the target row."""
     sums = tuple(map(sum, zip(*(coeffs for _, coeffs in products))))
-    return sums, tuple(Comparison(BASE_EXPONENT + k, target[k], sums[k]) for k in range(order + 1))
+    return sums, tuple(map(Comparison, columns, target, sums))
 
 
 def verify_decomposition(
@@ -228,7 +234,7 @@ def verify_decomposition(
         name, coeffs = products[row]
         products[row] = (name, (*coeffs[:col], coeffs[col] + delta, *coeffs[col + 1 :]))
         notes = (f"perturbed row {row} column {col} by {delta:+d}",)
-    col_sums, comparisons = _sum_rule(products, target, order)
+    col_sums, comparisons = _sum_rule(products, target, _columns(BASE_EXPONENT, order))
     return VerificationReport(
         check="decomposition",
         order=order,
@@ -278,18 +284,17 @@ def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationRep
     sch = schs[OspLabel(1, 1)]
     diffs = _products(order, schs.__getitem__)
     diffs.append(("sch[L(1,0)]^2", _coeff_row(sch * sch, order)))
-    comparisons: list[Comparison] = []
-    for *products, (_, target) in tables.values():
-        comparisons.extend(_sum_rule(products, target, order)[1])
-    exponents = [BASE_EXPONENT + k for k in range(order + 1)]
+    exponents = _columns(BASE_EXPONENT, order)
+    comparisons = [c for *products, (_, target) in tables.values()
+                   for c in _sum_rule(products, target, exponents)[1]]
     for rows in zip(*tables.values(), _summand_series(order), diffs):
         for x, e, o, c, d in zip(exponents, *(coeffs for _, coeffs in rows)):
             pairs = ((2 * e, c + d), (2 * o, c - d), (e + o, c))
             comparisons += [Comparison(x, lhs, rhs) for lhs, rhs in pairs]
     for lab, part in parts.items():
-        lead = lab.lead
-        rows = (s.coeff_row(lead, order + 1) for s in (part["even"], part["odd"], schs[lab]))
-        comparisons += [Comparison(lead + k, e - o, d) for k, (e, o, d) in enumerate(zip(*rows))]
+        xs = _columns(lab.lead, order)
+        rows = (s.coeff_row(xs[0], order + 1) for s in (part["even"], part["odd"], schs[lab]))
+        comparisons += [Comparison(x, e - o, d) for x, e, o, d in zip(xs, *rows)]
     return VerificationReport(
         check="even-refinement",
         order=order,
@@ -312,18 +317,17 @@ def singular_ladder(order: int = 20) -> VerificationReport:
     """
     order = index(order)
     *products, (_, target) = _summand_series(order)
-    _, columns = _sum_rule(products, target, order)
+    _, columns = _sum_rule(products, target, _columns(BASE_EXPONENT, order))
     rows: list[tuple[str, tuple[Fraction, ...]]] = []
     comparisons: list[Comparison] = []
     notes: list[str] = []
     # each multiplicity-space generator sits inside the module paired with it in
-    # the decomposition; label (1,1) is the coset algebra's own vacuum sector
-    pairing = {vir_lab: osp_lab for osp_lab, vir_lab in COSET_DECOMPOSITION.rows()}
-    for vir_lab in sorted(pairing):
+    # the decomposition, at that module's weight h_m; label (1,1) is the coset
+    # algebra's own vacuum sector
+    paired = {vir: osp_weight(osp.l, osp.r) for osp, vir in COSET_DECOMPOSITION.rows()}
+    for vir_lab, h_m in sorted(paired.items()):
         w1, w2 = singular_weights(COSET_MODEL, vir_lab)
         rows.append((f"candidates V{vir_lab}", (w1, w2)))
-        osp_lab = pairing[vir_lab]
-        h_m = osp_weight(osp_lab.l, osp_lab.r)
         for w in (w1, w2):
             column = h_m + w
             if column.denominator != 1:

@@ -188,16 +188,17 @@ class MinimalModel:
 
         Theta-difference over eta (Rocha-Caridi): exact through h - c/24 +
         order, and no further.  Built once per distinct (model, label, order)
-        by the cached ``series._character`` and shared by every caller.
+        by the cached ``series._character`` and shared by every caller.  Its
+        lead h - c/24 is the integer pair (6(sq - rp)^2 - pq) / 24pq.
         """
         order = index(order)
         r, s = self._check(label)
         p, q = self.p, self.q
         return _character(
-            (Fraction(1, 4 * p * q), 2 * p * q, False, ((1, p * r - q * s), (-1, p * r + q * s))),
+            ((1, 4 * p * q), 2 * p * q, False, ((1, p * r - q * s), (-1, p * r + q * s))),
             euler_parts=((-1, -1),),
             eta_den=24,
-            target=self.conformal_weight(label) - self.central_charge() / 24 + order,
+            lead=(6 * (s * q - r * p) ** 2 - p * q, 24 * p * q),
             order=order,
         )
 

@@ -8,11 +8,13 @@ so every series the package builds holds one entry per whole level.  Every
 operation tracks the largest exponent bound below which its result is still
 exact: asking for a coefficient at or beyond it raises instead of returning
 zero.  Rows serve the product, the coefficient reads and the characters.  A
-coefficient read is a slice of the row.  A product puts both rows on one
-step, never multiplies or packs an entry that cannot land below its bound,
-and multiplies short rows by a loop over nonzero entries, long ones as two
-packed ``int``s (Kronecker substitution).  The other operations, which no
-hot path runs (``+``, ``==``, :func:`equal_through`), read the nonzero terms.
+coefficient read is a slice of the row; it reads its start exponent as an
+integer pair and makes no Fraction unless it raises.  A product puts both
+rows on one step, never multiplies or packs an entry that cannot land below
+its bound, and multiplies short rows by a loop over nonzero entries, long
+ones as two packed ``int``s (Kronecker substitution).  The other operations,
+which no hot path runs (``+``, ``==``, :func:`equal_through`), read the
+nonzero terms.
 
 The module also provides the handful of special series the characters of
 this package are made of: plain monomial prefactors, Euler products
@@ -23,11 +25,13 @@ affine characters share: theta numerator times one combined Euler factor (one
 cached ``_euler`` row of ints, from sparse theta-type series), shifted by
 ``q^(-1/24)`` or ``q^(-1/8)``, exact through h - c/24 + order and no further.
 It takes its numerator as plain data (scale, modulus, weighted, signed
-residue classes), lists the theta terms as integers with the enumerator the
-theta sums share, and builds no series but the result: one integer pass,
-each theta term shifting and adding the Euler row, whose row is the
-character's row.  It is cached per argument set, so a command builds each
-character once.
+residue classes) and the caller's lead h - c/24 as an integer pair, each
+character's one closed integer form; it adds the order itself and finds its
+bounds by floor division, so its cache key holds only ints.  It lists the
+theta terms as integers with the enumerator the theta sums share, and builds
+no series but the result: one integer pass, each theta term shifting and
+adding the Euler row, whose row is the character's row.  It is cached per
+argument set, so a command builds each character once.
 ``==`` is strict: equal series have the same exactness bound and nonzero terms.
 :func:`equal_through` compares two series of any bounds through a given
 exponent, which both must know.
@@ -45,7 +49,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import floor, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add, index, itemgetter, mul
 from typing import Iterable, Iterator
 
@@ -222,21 +226,21 @@ class FracSeries:
         same ValueError when the last exponent lies at or beyond the bound.
         All zeros when start is off the series' exponent lattice.  Whole
         levels are ``den // step`` row entries apart, so the row is read as
-        one slice.
+        one slice.  start is read as ``num/d`` in ints; only the ValueError
+        builds a Fraction.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
-        start = Fraction(start, 1)
-        if count:
-            self._require_known(start + count - 1)
-        scaled = start * self.den
-        if scaled.denominator == 1:
-            i, off = divmod(scaled.numerator - self.lowest, self.step)
-            j = self.den // self.step
-            k = max(0, -(i // j))  # the first k with i + j*k >= 0
-            if not off and k < count:
-                part = self.row[i + j * k : i + j * count : j]
-                return (0,) * k + part + (0,) * (count - k - len(part))
+        num, d = start.as_integer_ratio() if isinstance(start, Fraction) else (index(start), 1)
+        if count and (num + (count - 1) * d) * self.den >= self.order * d:
+            self._require_known(Fraction(num, d) + count - 1)
+        # start sits on the lattice, at row entry i, iff d*step divides num*den - d*lowest
+        i, off = divmod(num * self.den - self.lowest * d, self.step * d)
+        j = self.den // self.step
+        k = max(0, -(i // j))  # the first k with i + j*k >= 0
+        if not off and k < count:
+            part = self.row[i + j * k : i + j * count : j]
+            return (0,) * k + part + (0,) * (count - k - len(part))
         return (0,) * count
 
     def _require_known(self, e: Fraction) -> None:
@@ -558,24 +562,27 @@ def equal_through(a: FracSeries, b: FracSeries, bound: Fraction | int) -> bool:
 
 
 @lru_cache(maxsize=128)
-def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: int) -> FracSeries:
-    """Graded dimension ``theta * prod (1 +- q^n)^e / q^(1/eta_den)``, exact through target.
+def _character(numerator, euler_parts, eta_den: int, lead, order: int) -> FracSeries:
+    """Graded dimension ``theta * prod (1 +- q^n)^e / q^(1/eta_den)``, exact through lead + order.
 
-    ``numerator`` is plain data, ``(scale, modulus, weighted, ((sign, residue),
-    ...))``: the theta numerator is ``sum sign * w(n) * q**(scale*n**2)`` over
-    every class and every ``n = residue (mod modulus)``, with ``w(n) = n`` when
-    weighted and 1 otherwise, listed below the least integer above ``target +
-    1/eta_den``.  ``euler_parts`` lists the ``(sign, e)`` of every Euler
-    factor; all of them come as one dense row from one ``_euler`` call, kept
-    through q^order and shared by every character with the same parts and
-    order.  ``target`` is the caller's h - c/24 + order: the result is exact
-    through it and no further (``order_exponent == target + 1/den``).  A
-    target that is not exactly ``order`` levels above the numerator's leading
-    term, or a theta term off those levels, raises RuntimeError, so every
+    Every argument is an int or a tuple of ints, so the cache key hashes no
+    Fraction.  ``numerator`` is plain data, ``((u, w), modulus, weighted,
+    ((sign, residue), ...))``: the theta numerator is ``sum sign * w(n) *
+    q**(u*n**2/w)`` over every class and every ``n = residue (mod modulus)``,
+    with ``w(n) = n`` when weighted and 1 otherwise, listed below the least
+    integer above ``lead + order + 1/eta_den``.  ``euler_parts`` lists the
+    ``(sign, e)`` of every Euler factor; all of them come as one dense row
+    from one ``_euler`` call, kept through q^order and shared by every
+    character with the same parts and order.  ``lead`` is the caller's
+    h - c/24 as ``(num, den)``, den > 0, from the closed integer form next
+    to each character; the target ``lead + order`` is formed here, and the
+    result is exact through it and no further (``order_exponent == target +
+    1/den``).  A lead that is not exactly the numerator's leading term over
+    eta, or a theta term off its levels, raises RuntimeError, so every
     build checks the caller's weight formula and the numerator's shape.
 
-    The theta terms are integers ``(position, coefficient)`` on the scale's
-    lattice, from the enumerator ``_theta`` shares (no two terms of these
+    The theta terms are integers ``(position, coefficient)`` on the lattice
+    ``(1/w)Z``, from the enumerator ``_theta`` shares (no two terms of these
     numerators share a position, so none cancel).  They must lie whole levels
     apart (the Virasoro numerator's two classes differ by integers; the
     others are one class), and so do the Euler row's.  So the product is one
@@ -593,17 +600,17 @@ def _character(numerator, euler_parts, eta_den: int, target: Fraction, order: in
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    scale, modulus, weighted, classes = numerator
-    bound = floor(target + Fraction(1, eta_den)) + 1
-    u, w = scale.numerator, scale.denominator  # a theta term sits at position u*n*n on (1/w)Z
+    (u, w), modulus, weighted, classes = numerator
+    num, den = lead[0] + order * lead[1], lead[1]  # the target, num/den
+    bound = (num * eta_den + den) // (den * eta_den) + 1
     terms = [(p, sign * c) for sign, residue in classes
              for p, c in _theta_terms(modulus, residue, u, bound * w, weighted)]
-    lead = min(terms, default=(0, 0))[0]
+    first = min(terms, default=(0, 0))[0]
     d = lcm(eta_den, w // gcd(w, *(p for p, _ in terms)))  # w // gcd: the terms' coarsest lattice
-    lo, shift = lead * d // w, d // eta_den
-    stop = floor(target * d) + shift + 1
-    off_levels = any((p - lead) % w for p, _ in terms)
+    lo, shift = first * d // w, d // eta_den
+    stop = num * d // den + shift + 1
+    off_levels = any((p - first) % w for p, _ in terms)
     if not terms or stop != lo + order * d + 1 or stop > bound * d or off_levels:
         raise RuntimeError("internal truncation bookkeeping error")
-    row = _times(_euler(euler_parts, order), [((p - lead) // w, c) for p, c in terms])
+    row = _times(_euler(euler_parts, order), [((p - first) // w, c) for p, c in terms])
     return FracSeries._of(d, stop - shift, lo - shift, d, row)

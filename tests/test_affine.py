@@ -279,17 +279,20 @@ def test_singular_weight_ladder():
         assert singular_weights(m, L(r, s)) == pair
 
 
-def _monomial_route(numerator, euler_parts, eta_den, target, order):
+def _monomial_route(numerator, euler_parts, eta_den, lead, order):
     """``series._character`` as products of series, the route it replaced.
 
     The theta numerator is a series summed from the public theta functions,
     one per ``(sign, residue)`` class of the plain-data numerator; it is
     multiplied by the ``_euler`` row as a series and then by the monomial
     q^(-1/eta_den), each through ``FracSeries.__mul__``.  The product knows
-    at least as much as the character claims; it is cut after target.
+    at least as much as the character claims; it is cut after the target
+    lead + order, with the integer pairs read as Fractions.
     """
+    target = F(*lead) + order
     bound = floor(target + F(1, eta_den)) + 1
-    scale, modulus, weighted, classes = numerator
+    (u, w), modulus, weighted, classes = numerator
+    scale = F(u, w)
     num = None
     for sign, b in classes:
         if weighted:
@@ -362,8 +365,9 @@ def test_character_is_exact_through_its_window_and_no_further():
 @pytest.mark.parametrize("steps, levels", [(0, 1), (0, -1), (1, 0), (-1, 0)],
                          ids=["level-up", "level-down", "step-up", "step-down"])
 def test_character_refuses_a_target_off_the_theta_route(monkeypatch, build, steps, levels):
-    # the caller's h - c/24 + order must sit exactly order levels above the
-    # theta sum's leading term; one level or one lattice step off is refused
+    # the caller's integer lead h - c/24 must be the theta sum's leading term
+    # over eta, so that lead + order sits exactly order levels above it; a
+    # lead one level or one lattice step off is refused
     calls = []
 
     def recording(*args, **kwargs):
@@ -374,7 +378,8 @@ def test_character_refuses_a_target_off_the_theta_route(monkeypatch, build, step
     monkeypatch.setattr(affine, "_character", recording)
     good = build(4)
     args, kwargs = calls[0]
-    kwargs = {**kwargs, "target": kwargs["target"] + levels + F(steps, good.den)}
+    lead = F(*kwargs["lead"]) + levels + F(steps, good.den)
+    kwargs = {**kwargs, "lead": lead.as_integer_ratio()}
     with pytest.raises(RuntimeError, match="bookkeeping"):
         series._character(*args, **kwargs)
 
@@ -385,11 +390,11 @@ def test_character_refuses_a_numerator_of_two_classes(order):
     # residue-1 class, theta_null(1, 1), 1/4 above them: the window check
     # passes on the leading term q^0, but the sum is not one integer-spaced
     # row, and is refused
-    args = dict(euler_parts=((-1, -1),), eta_den=24, target=order - F(1, 24), order=order)
-    one = (F(1, 4), 2, False, ((1, 0),))
+    args = dict(euler_parts=((-1, -1),), eta_den=24, lead=(-1, 24), order=order)
+    one = ((1, 4), 2, False, ((1, 0),))
     assert series._character(one, **args).leading_term() == (F(-1, 24), 1)
     with pytest.raises(RuntimeError, match="bookkeeping"):
-        series._character((F(1, 4), 2, False, ((1, 0), (1, 1))), **args)
+        series._character(((1, 4), 2, False, ((1, 0), (1, 1))), **args)
 
 
 @pytest.mark.parametrize("build", [
@@ -410,6 +415,64 @@ def test_a_cold_character_build_makes_one_series(monkeypatch, build):
     series._character.cache_clear()
     got = build()
     assert len(built) == 1 and built[0] is got
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MinimalModel(10, 7).character(L(2, 3), 12),
+    lambda: osp_character(OspLabel(2, 3), 12),
+    lambda: sl2_character(Sl2Label(7, 5), 12),
+], ids=["vir", "osp", "sl2"])
+def test_a_warm_lookup_and_a_row_read_make_no_fraction(monkeypatch, build):
+    # the cache key holds only ints and coeff_row reads its start as integers:
+    # neither a warm character lookup nor an on-lattice row read makes a
+    # Fraction.  Python 3.12 and later build arithmetic results through
+    # _from_coprime_ints, not __new__, so that is counted too where it exists
+    cold = build()
+    lead = cold.leading_term()[0]
+    below = lead - 1
+    made, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(lambda cls, *args: made.append(args) or coprime(*args)))
+    assert build() is cold
+    assert cold.coeff_row(lead, 13) == cold.row and len(cold.row) == 13
+    assert cold.coeff_row(below, 14) == (0, *cold.row)
+    assert made == []
+
+
+def test_closed_integer_leads_equal_the_public_weights(monkeypatch):
+    # the integer h - c/24 each character hands to series._character, against
+    # the public Fraction route, for every label of every coprime 3 <= p, q <= 11
+    # model and every osp(1|2) and sl2 module of levels 1-12
+    leads = []
+    monkeypatch.setattr(minimal, "_character", lambda *args, lead, **kwargs: leads.append(lead))
+    monkeypatch.setattr(affine, "_character", lambda *args, lead, **kwargs: leads.append(lead))
+    want = []
+    for p in range(3, 12):
+        for q in range(3, 12):
+            if p != q and gcd(p, q) == 1:
+                model = MinimalModel(p, q)
+                for lab in (L(r, s) for r in range(1, q) for s in range(1, p)):
+                    model.character(lab, 0)
+                    want.append(model.conformal_weight(lab) - model.central_charge() / 24)
+    for l in range(1, 13):
+        for lab in osp_modules(l):
+            osp_character(lab, 0)
+            want.append(osp_weight(l, lab.r) - osp_central_charge(l) / 24)
+            assert lab.lead == want[-1]
+        for i in range(l + 1):
+            sl2_character(Sl2Label(l, i), 0)
+            want.append(sl2_weight(Sl2Label(l, i)) - sl2_central_charge(l) / 24)
+    assert len(leads) == len(want) > 1000
+    assert all(den > 0 for _, den in leads)
+    assert [F(*lead) for lead in leads] == want
 
 
 # --- supercharacter: the Andrews-Gordon product route -----------------------

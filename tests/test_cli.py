@@ -183,6 +183,9 @@ def test_fusion_ext_refuses_positionals(capsys, positional):
     # past the digits int() reads, the same refusal
     (("verify", "decomposition", "--perturb", "1" * 5000 + ":0:1"),
      f"--perturb '{'1' * 5000}:0:1' is not ROW:COL:DELTA"),
+    # a given but empty label is refused as a label, not read as a missing flag
+    (("fusion", "ext", "--a", "", "--b", "1,1"), "label '' is not of the form R,S"),
+    (("fusion", "ext", "--a=", "--b="), "label '' is not of the form R,S"),
 ])
 def test_malformed_integer_tuple_is_refused_in_one_line(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")

@@ -17,6 +17,7 @@ from cosetchar.coset import (
     verify_decomposition,
     verify_even_refinement,
     _coeff_row,
+    _columns,
     _parity_tables,
     _products,
     _sum_rule,
@@ -102,9 +103,13 @@ def test_decomposition_passes_at_every_order_up_to_30():
         assert len(report.comparisons) == order + 1
 
 
-def _separate_factor_character(numerator, euler_parts, eta_den, target, order):
-    """Theta numerator times one euler_product per factor, then q^(-1/eta_den)."""
-    out = numerator(ceil(target + F(1, eta_den)) + 2)
+def _separate_factor_character(numerator, euler_parts, eta_den, lead, order):
+    """Theta numerator times one euler_product per factor, then q^(-1/eta_den).
+
+    ``lead`` is h - c/24 as an integer pair ``(num, den)``, as ``series._character``
+    reads it; the numerator is summed through the target lead + order.
+    """
+    out = numerator(ceil(F(*lead) + order + F(1, eta_den)) + 2)
     for sign, e in euler_parts:
         out = out * euler_product(sign, e, order + 2)
     span = out.order - out.lowest
@@ -116,7 +121,7 @@ def _separate_osp(lab, order):
     return _separate_factor_character(
         lambda bound: weighted_theta(2 * a, lab.r, F(a, 2), bound),
         ((1, 2), (-1, -3)), 24,
-        osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24 + order, order,
+        (osp_weight(lab.l, lab.r) - osp_central_charge(lab.l) / 24).as_integer_ratio(), order,
     )
 
 
@@ -126,7 +131,7 @@ def _separate_vir(model, lab, order):
         lambda bound: theta_null(p * q, p * r - q * s, bound)
         - theta_null(p * q, p * r + q * s, bound),
         ((-1, -1),), 24,
-        model.conformal_weight(lab) - model.central_charge() / 24 + order, order,
+        (model.conformal_weight(lab) - model.central_charge() / 24).as_integer_ratio(), order,
     )
 
 
@@ -156,7 +161,7 @@ def test_decomposition_along_branching_route_at_cli_cap():
     products = _products(order, lambda lab: branch_character(2, lab.r, "both", order))
     one = branch_character(1, 1, "both", order)
     target = _coeff_row(one * one, order)
-    _, comparisons = _sum_rule(products, target, order)
+    _, comparisons = _sum_rule(products, target, _columns(BASE_EXPONENT, order))
     assert len(comparisons) == order + 1
     assert all(c.ok for c in comparisons)
     assert [*products, ("ch[L(1,0)^2]", target)] == list(_summand_series(order))
@@ -276,7 +281,7 @@ def test_parity_identities_at_cli_cap():
     order = MAX_ORDER
     tables, _ = _parity_tables(order)
     for *products, (_, target) in tables.values():
-        _, comparisons = _sum_rule(products, target, order)
+        _, comparisons = _sum_rule(products, target, _columns(BASE_EXPONENT, order))
         assert len(comparisons) == order + 1
         assert all(c.ok for c in comparisons)
     for (_, even), (_, odd), (_, plain) in zip(*tables.values(), _summand_series(order)):
