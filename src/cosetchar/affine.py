@@ -242,7 +242,11 @@ def _lowest_space(terms: list[BranchTerm]) -> tuple[Fraction, int]:
 
 
 def h_alpha_beta(alpha: int, beta: int, t: Fraction) -> Fraction:
-    """(1/4)(a^2-1)t - (1/2)(ab-1) + (1/4)(b^2-1)/t, for t an int or a Fraction."""
+    """(1/4)(a^2-1)t - (1/2)(ab-1) + (1/4)(b^2-1)/t, for t an int or a Fraction.
+
+    The general weight behind ``singular --alpha --beta --t``; the library's
+    singular weights take the closed form of ``singular_weights`` instead.
+    """
     t = Fraction(t, 1)
     if t == 0:
         raise ValueError("t must be nonzero")
@@ -256,12 +260,10 @@ def h_alpha_beta(alpha: int, beta: int, t: Fraction) -> Fraction:
 def singular_weights(model: MinimalModel, label: KacLabel) -> tuple[Fraction, Fraction]:
     """Weights of the two singular vectors over the Verma module of the label.
 
-    Evaluated at t = p/q: the pair (h_{r,-s}(t), h_{r-2q,-s}(t)).
+    With h = h_{r,s}, they sit at Kac's levels rs and (q-r)(p-s) (Kac 1979;
+    Feigin-Fuchs 1982-84): the pair (h + rs, h + (q-r)(p-s)), which is
+    (h_{r,-s}(t), h_{r-2q,-s}(t)) at t = p/q.  A label out of range raises
+    the ValueError of ``conformal_weight``.
     """
-    if not model.in_range(label):
-        raise ValueError(f"label {label} out of range")
-    t = Fraction(model.p, model.q)
-    return (
-        h_alpha_beta(label.r, -label.s, t),
-        h_alpha_beta(label.r - 2 * model.q, -label.s, t),
-    )
+    h = model.conformal_weight(label)
+    return h + label.r * label.s, h + (model.q - label.r) * (model.p - label.s)

@@ -10,7 +10,10 @@ are 0 or 1.  Fusion is commutative, so ``fuse`` puts its two canonical
 labels in order and builds each product once per unordered pair; it returns
 that cached ``ModuleSum``, immutable so that no caller can change it under
 another, for either order on every later call.
-``canon`` returns the label itself when it is already canonical.  A product
+``canon`` returns the label itself when it is already canonical.  The range
+check and ``canon`` read r and s through ``operator.index``, so a label
+whose r or s is not an integer (``1.0`` and ``Fraction(1)`` hash like ``1``)
+raises TypeError before a cached character or product is read.  A product
 and a sum of two multisets hold distinct canonical labels already, so the
 trusted ``ModuleSum._from_mults`` builds them with no re-check and no
 re-fold; a sum with an empty operand is the other operand.  The
@@ -141,7 +144,8 @@ class MinimalModel:
         return 1 <= label.r <= self.q - 1 and 1 <= label.s <= self.p - 1
 
     def _check(self, label: KacLabel) -> KacLabel:
-        if not self.in_range(label):
+        """The label itself; TypeError unless r and s are integers, ValueError out of range."""
+        if not self.in_range(KacLabel(index(label.r), index(label.s))):
             raise ValueError(f"label {label} outside 1..{self.q - 1} x 1..{self.p - 1}")
         return label
 
@@ -161,7 +165,7 @@ class MinimalModel:
 
     def canon(self, label: KacLabel) -> KacLabel:
         """Smaller of (r,s) and (q-r,p-s) by (r, then s); the label itself when it is that one."""
-        r, s, q, p = label.r, label.s, self.q, self.p
+        r, s, q, p = index(label.r), index(label.s), self.q, self.p
         if not (1 <= r < q and 1 <= s < p):
             self._check(label)  # raises
         if r < q - r or (r == q - r and s < p - s):  # a tie would need p, q both even

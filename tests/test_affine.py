@@ -277,6 +277,20 @@ def test_singular_weight_ladder():
     }
     for (r, s), pair in expected.items():
         assert singular_weights(m, L(r, s)) == pair
+    # Kac's levels against the general h_{alpha,beta}(t) at t = p/q, every label
+    # of every model the CLI admits
+    count = 0
+    for p in range(3, MAX_PQ + 1):
+        for q in range(3, MAX_PQ + 1):
+            if p == q or gcd(p, q) != 1:
+                continue
+            m, t = MinimalModel(p, q), F(p, q)
+            for r in range(1, q):
+                for s in range(1, p):
+                    reference = (h_alpha_beta(r, -s, t), h_alpha_beta(r - 2 * q, -s, t))
+                    assert singular_weights(m, L(r, s)) == reference, (p, q, r, s)
+                    count += 1
+    assert count == 7960
 
 
 def _monomial_route(numerator, euler_parts, eta_den, lead, order):

@@ -148,7 +148,7 @@ def test_decomposition_at_cli_cap_matches_separate_factor_route():
     model = MinimalModel(10, 7)
     summands = [
         row(_separate_osp(osp_lab, order) * _separate_vir(model, vir_lab, order))
-        for osp_lab, vir_lab in COSET_DECOMPOSITION.rows()
+        for osp_lab, vir_labels in COSET_DECOMPOSITION for vir_lab in vir_labels
     ]
     one = _separate_osp(OspLabel(1, 1), order)
     expected = summands + [row(one * one), tuple(map(sum, zip(*summands)))]
@@ -375,7 +375,7 @@ def test_report_csv_mirror():
 
 
 def test_decomposition_spec_is_the_documented_pairing():
-    pairs = [(osp.r, (vir.r, vir.s)) for osp, vir in COSET_DECOMPOSITION.rows()]
+    pairs = [(osp.r, (vir.r, vir.s)) for osp, labs in COSET_DECOMPOSITION for vir in labs]
     assert pairs == [
         (1, (1, 1)), (1, (6, 1)),
         (3, (3, 1)), (3, (4, 1)),
@@ -431,7 +431,7 @@ def test_decomposition_is_the_unique_solution_over_all_candidates(order):
     rank, consistent, solution = _solve(columns, _coeff_row(ch * ch, order))
     assert (rank, consistent) == (6, True)
     derived = {(r, lab): n for (r, lab), n in zip(kept, solution) if n}
-    stated = {(osp.r, model.canon(vir)): 1 for osp, vir in COSET_DECOMPOSITION.rows()}
+    stated = {(osp.r, model.canon(vir)): 1 for osp, labs in COSET_DECOMPOSITION for vir in labs}
     assert derived == stated
 
 

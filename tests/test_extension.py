@@ -243,7 +243,7 @@ def test_monodromy_census():
     assert twisted == [ext_label(r, s) for r in (1, 2, 3) for s in (2, 4)]
     assert all(q[o.constituents[1]] == q[o.constituents[0]] for o in orbits)
     assert all(q[x] == 0 for x in fixed)
-    assert all(q[MODEL.canon(v)] == 0 for _, v in COSET_DECOMPOSITION.rows())
+    assert all(q[MODEL.canon(v)] == 0 for _, labs in COSET_DECOMPOSITION for v in labs)
     for a, b in itertools.product(labels, repeat=2):
         for c, _ in MODEL.fuse(a, b):
             assert q[c] == (q[a] + q[b]) % 1, (a, b, c)

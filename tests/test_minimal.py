@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from cosetchar import extension, minimal
+from cosetchar import extension, minimal, series
 from cosetchar.cli import MAX_PQ, main
 from cosetchar.minimal import KacLabel, MinimalModel, ModuleSum
 from cosetchar.series import equal_through
@@ -432,6 +432,30 @@ def test_vacuum_character_counts_vacuum_module_states():
     e0 = F(-1, 105)
     dims = [ch.coeff(e0 + k) for k in range(7)]
     assert dims == [1, 0, 1, 1, 2, 2, 4]
+
+
+# every MinimalModel method that reads a label, called on the (10,7) model
+LABEL_TAKERS = {
+    "character": lambda m, lab: m.character(lab, 5),
+    "conformal_weight": lambda m, lab: m.conformal_weight(lab),
+    "fuse": lambda m, lab: m.fuse(lab, KacLabel(2, 1)),
+    "canon": lambda m, lab: m.canon(lab),
+}
+
+
+@pytest.mark.parametrize("bad", [KacLabel(1.0, 1), KacLabel(Fraction(1), 1)], ids=repr)
+@pytest.mark.parametrize("name", sorted(LABEL_TAKERS))
+def test_non_integer_label_is_refused_cold_and_warm(name, bad):
+    # 1.0 and Fraction(1) hash like 1, so a cache filled by the int call
+    # would answer them if the label were not checked before it is read
+    call = functools.partial(LABEL_TAKERS[name], MinimalModel(10, 7))
+    for cache in (series._character, minimal._fuse):
+        cache.cache_clear()
+    with pytest.raises(TypeError):
+        call(bad)
+    call(KacLabel(1, 1))
+    with pytest.raises(TypeError):
+        call(bad)
 
 
 def test_kac_label_sorts_by_r_then_s_and_prints_pair():
