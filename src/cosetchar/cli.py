@@ -35,13 +35,12 @@ parser is built.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
 from fractions import Fraction
 
-from . import affine, coset, extension
+from . import affine, coset, extension, minimal
 from .minimal import KacLabel, MinimalModel
 from .series import T_FORM, _rat
 
@@ -271,22 +270,29 @@ def cmd_fusion(args) -> tuple[str, int]:
         if args.p is None or args.q is None:
             raise ValueError("fusion vir needs positional P Q")
         model = MinimalModel(args.p, args.q)
-        fuse, labels, make = model.fuse, model.canonical_labels, KacLabel
+        fuse, make = model.fuse, KacLabel
     else:
         if args.p is not None or args.q is not None:
             raise ValueError("fusion ext takes no positional P Q")
-        fuse, labels, make = extension.ext_fuse, extension.ext_irreducibles, extension.ext_label
+        fuse, make = extension.ext_fuse, extension.ext_label
     if args.table:
         for flag, value in (("--a", args.a), ("--b", args.b)):
             if value is not None:
                 raise ValueError(f"fusion --table does not read {flag}")
-        pairs = itertools.product(labels(), repeat=2)
+        if args.scope == "ext":
+            entries = extension.fusion_table()
+        else:
+            p, q = model.p, model.q
+            entries = extension._table_entries(
+                model.canonical_labels(),
+                lambda t1, t2: [(*lab, m) for lab, m in minimal._fuse(p, q, t1, t2).mults.items()])
     elif args.a is not None and args.b is not None:
-        pairs = [tuple(make(*_ints(x, ",", 2, f"label {x!r} is not of the form R,S"))
-                       for x in (args.a, args.b))]
+        pair = tuple(make(*_ints(x, ",", 2, f"label {x!r} is not of the form R,S"))
+                     for x in (args.a, args.b))
+        entries = extension.fusion_entries(fuse, [pair])
     else:
         raise ValueError(f"fusion {args.scope} needs --a and --b (or --table)")
-    return _fusion_output(extension.fusion_entries(fuse, pairs), args.format), 0
+    return _fusion_output(entries, args.format), 0
 
 
 def _fusion_output(entries: list[dict], fmt: str) -> str:

@@ -7,32 +7,41 @@ fixed points (the s = 5 column).  Each orbit carries one extended module;
 each fixed point carries two inequivalent ones, which this module tracks
 only through a flag.  The action is written once, in
 ``simple_current_image``, and the orbit representative once, in ``_orbit``:
-a label's constituents, its orbit, the induced fold and the census
+a label's constituents, its orbit, the fold and the census
 (``classify_ext_modules``, read from ``ext_irreducibles``) all use them.
 
 Extended fusion is computed by inducing: pick one Virasoro constituent of
 each factor, fuse them in the minimal model, then replace every label in the
 result by its orbit.  An orbit picked up through both of its members counts
-twice; the outcome does not depend on which constituents were chosen.  Each
-label looks its constituent pair up once and keeps it.  ``ext_fuse`` checks
-its arguments and warns about a fixed point on every call, then returns the
-induced product from a cache keyed by the unordered constituent pair, so
-each induced product is folded once.  The minimal model's cached product is
-already canonical, so the fold goes straight onto orbit representatives and
-builds the ``ExtModuleSum`` unchecked.
-``fusion_entries`` is the one builder of JSON-ready fusion entries, for
-``fusion_table`` and for both scopes of the ``fusion`` command.
+twice; the outcome does not depend on which constituents were chosen.  The
+fold is written once, in ``_fold``: it reads the minimal model's cached
+product of two canonical constituents t1 <= t2, which is already canonical,
+and returns its orbit representatives as sorted ``(r, s, mult)`` int
+triples, cached per unordered pair.  Two readers share it:
+
+- ``ext_fuse`` checks its arguments and warns ``FixedPointFusionWarning``
+  about a fixed point on every call, then returns ``_induced``, the fold
+  wrapped once per unordered pair in a shared ``ExtModuleSum``;
+- ``fusion_table`` and the ``fusion --table`` command write their JSON rows
+  straight from the int triples through ``_table_entries``, with no label
+  object per term, no ``ext_fuse`` call and no warning: the first
+  constituent of each presented label (r, s) is the canonical label (r, s).
+  The (p, q) table of ``fusion vir`` goes through the same writer, its rows
+  read from the minimal model's cached products.
+
+``fusion_entries`` builds the JSON-ready entry of a single ``--a``/``--b``
+pair through the object API of either scope.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import index
 
+from . import minimal
 from .minimal import KacLabel, MinimalModel, ModuleSum
 
 __all__ = [
@@ -96,15 +105,15 @@ class ExtLabel:
 
     def orbit(self) -> "ExtLabel":
         """Orbit representative: same module, s pulled into 1..5."""
-        return _orbit(self.r, self.s)
+        return ExtLabel(*_orbit(self.r, self.s))
 
     def __str__(self):
         return f"Ext({self.r},{self.s})"
 
 
-def _orbit(r: int, s: int) -> ExtLabel:
+def _orbit(r: int, s: int) -> tuple[int, int]:
     """The orbit representative of the presented label (r, s): (r, min(s, 10-s))."""
-    return ExtLabel(r, min(s, 10 - s))
+    return r, min(s, 10 - s)
 
 
 def ext_label(r: int, s: int) -> ExtLabel:
@@ -171,13 +180,23 @@ def ext_fuse(
 
 
 @lru_cache(maxsize=None)
-def _induced(t1: KacLabel, t2: KacLabel) -> ExtModuleSum:
-    """Orbit fold of the minimal-model product of canonical constituents t1 <= t2."""
+def _fold(t1: KacLabel, t2: KacLabel) -> tuple[tuple[int, int, int], ...]:
+    """Orbit fold of the (10,7) product of canonical constituents t1 <= t2.
+
+    Sorted ``(r, s, mult)`` int triples, one per orbit representative.
+    """
     out = {}
-    for lab, m in MODEL.fuse(t1, t2):
-        key = _orbit(lab.r, lab.s)
+    # minimal._fuse is read through its module, so the cache has one name
+    for (r, s), m in minimal._fuse(MODEL.p, MODEL.q, t1, t2).mults.items():
+        key = _orbit(r, s)
         out[key] = out.get(key, 0) + m
-    return ExtModuleSum._from_mults(out)
+    return tuple((r, s, m) for (r, s), m in sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def _induced(t1: KacLabel, t2: KacLabel) -> ExtModuleSum:
+    """The fold of canonical constituents t1 <= t2 as one shared ExtModuleSum."""
+    return ExtModuleSum._from_sorted({ExtLabel(r, s): m for r, s, m in _fold(t1, t2)})
 
 
 def fusion_entries(fuse, pairs) -> list[dict]:
@@ -191,6 +210,23 @@ def fusion_entries(fuse, pairs) -> list[dict]:
                 for a, b in pairs]
 
 
+def _table_entries(labels, terms) -> list[dict]:
+    """JSON-ready ``{a, b, result}`` entries of every ordered pair of canonical ``labels``.
+
+    ``terms(t1, t2)`` gives the product of t1 <= t2 as ``(r, s, mult)`` int
+    triples in ascending order, the form of ``ModuleSum.to_json``.
+    """
+    return [{"a": [*a], "b": [*b],
+             "result": [{"r": r, "s": s, "mult": m}
+                        for r, s, m in (terms(a, b) if a <= b else terms(b, a))]}
+            for a in labels for b in labels]
+
+
 def fusion_table() -> list[dict]:
-    """Deterministic JSON-ready fusion table over all 27 presented labels."""
-    return fusion_entries(ext_fuse, itertools.product(ext_irreducibles(), repeat=2))
+    """Deterministic JSON-ready fusion table over all 27 presented labels.
+
+    The presented label (r, s) has the canonical (10,7) label (r, s) as its
+    first constituent, so the 27 canonical labels, in order, index the rows
+    of ``ext_fuse`` at constituent 0; each row is written from ``_fold``.
+    """
+    return _table_entries(MODEL.canonical_labels(), _fold)

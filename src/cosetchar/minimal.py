@@ -15,8 +15,10 @@ check and ``canon`` read r and s through ``operator.index``, so a label
 whose r or s is not an integer (``1.0`` and ``Fraction(1)`` hash like ``1``)
 raises TypeError before a cached character or product is read.  A product
 and a sum of two multisets hold distinct canonical labels already, so the
-trusted ``ModuleSum._from_mults`` builds them with no re-check and no
-re-fold; a sum with an empty operand is the other operand.  The
+trusted ``ModuleSum._from_sorted`` builds them with no re-check and no
+re-fold from a dict already in label order: a product sorts its canonical
+int pairs once, and a sum sorts its merged labels; a sum with an empty
+operand is the other operand.  The
 admissible-triple conditions (triangle inequalities, parity, and the range
 caps 2q-1 / 2p-1 on the label sums) live on in the test suite, as its
 independent reference for fusion.
@@ -73,10 +75,14 @@ class ModuleSum:
         object.__setattr__(self, "mults", MappingProxyType(dict(sorted(acc.items()))))
 
     @classmethod
-    def _from_mults(cls, mults: dict) -> "ModuleSum":
-        """Trusted: positive multiplicities on distinct, already folded ``_label`` keys."""
+    def _from_sorted(cls, mults: dict) -> "ModuleSum":
+        """Trusted: positive multiplicities on distinct, already folded ``_label`` keys, ascending.
+
+        The new multiset keeps ``mults`` itself as its mapping, so the caller
+        hands over a dict it holds no other reference to.
+        """
         out = object.__new__(cls)
-        object.__setattr__(out, "mults", MappingProxyType(dict(sorted(mults.items()))))
+        object.__setattr__(out, "mults", MappingProxyType(mults))
         return out
 
     def __setattr__(self, name, value=None):
@@ -111,7 +117,7 @@ class ModuleSum:
         acc = dict(self.mults)
         for lab, m in other.mults.items():
             acc[lab] = acc.get(lab, 0) + m
-        return self._from_mults(acc)
+        return self._from_sorted(dict(sorted(acc.items())))
 
     def to_json(self) -> list[dict]:
         return [{"r": lab.r, "s": lab.s, "mult": m} for lab, m in self]
@@ -211,10 +217,9 @@ class MinimalModel:
 def _fuse(p, q, t1, t2) -> ModuleSum:
     """The su(2)_{q-2} x su(2)_{p-2} product of canonical labels t1 <= t2, on canonical labels."""
     (r1, s1), (r2, s2) = t1, t2
-    return ModuleSum._from_mults(
-        {
-            KacLabel(*min((r, s), (q - r, p - s))): 1
-            for r in range(abs(r1 - r2) + 1, min(r1 + r2, 2 * q - r1 - r2), 2)
-            for s in range(abs(s1 - s2) + 1, min(s1 + s2, 2 * p - s1 - s2), 2)
-        }
+    terms = sorted(
+        min((r, s), (q - r, p - s))
+        for r in range(abs(r1 - r2) + 1, min(r1 + r2, 2 * q - r1 - r2), 2)
+        for s in range(abs(s1 - s2) + 1, min(s1 + s2, 2 * p - s1 - s2), 2)
     )
+    return ModuleSum._from_sorted(dict.fromkeys(map(KacLabel._make, terms), 1))

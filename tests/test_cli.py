@@ -1,18 +1,22 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import warnings
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetchar import affine, cli
+from cosetchar import affine, cli, extension, minimal
 from cosetchar.cli import MAX_LEVEL, MAX_PQ, main
+from cosetchar.minimal import MinimalModel
 
 
 def run(capsys, *argv):
@@ -144,6 +148,35 @@ def test_fusion_ext_table_shape(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data) == 27 * 27
+
+
+def _pair_rows(fuse, labels):
+    return [{"a": [a.r, a.s], "b": [b.r, b.s], "result": fuse(a, b).to_json()}
+            for a in labels for b in labels]
+
+
+def test_fusion_tables_agree_with_the_object_api(capsys):
+    # the --table writer reads integer products; every (p, q) of the
+    # kac-table universe and the extension table must match the rows of the
+    # public fuse / ext_fuse, pair by pair.  A cold extension table warns
+    # nothing, as it calls no ext_fuse
+    minimal._fuse.cache_clear()
+    extension._fold.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extension.fusion_table()
+    for p, q in itertools.product(range(3, 12), repeat=2):
+        if p != q and gcd(p, q) == 1:
+            model = MinimalModel(p, q)
+            code, out, _ = run(capsys, "fusion", "vir", str(p), str(q), "--table",
+                               "--format", "json")
+            assert code == 0 and json.loads(out) == _pair_rows(
+                model.fuse, model.canonical_labels()), (p, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", extension.FixedPointFusionWarning)
+        want = _pair_rows(extension.ext_fuse, extension.ext_irreducibles())
+    code, out, _ = run(capsys, "fusion", "ext", "--table", "--format", "json")
+    assert code == 0 and json.loads(out) == want
 
 
 @pytest.mark.parametrize("positional", [("4", "6"), ("10", "7"), ("3",)])

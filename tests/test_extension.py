@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 import warnings
 from fractions import Fraction
 
@@ -261,6 +262,35 @@ def test_fusion_table_deterministic_json():
     assert table[0]["a"] == [1, 1] and table[0]["b"] == [1, 1]
     assert table[0]["result"] == [{"r": 1, "s": 1, "mult": 1}]
     assert json.dumps(table) == json.dumps(fusion_table())
+
+
+def _su2_fusion(a, b, k):
+    """su(2)_k fusion range of the 1-based labels a = 2j+1 and b."""
+    return range(abs(a - b) + 1, min(a + b, 2 * k + 4 - a - b), 2)
+
+
+def test_factorised_fold_oracle():
+    # the extended product as the su(2)_5 range on r, folded by r -> min(r, 7-r),
+    # times the su(2)_8 range on s, folded by s -> min(s, 10-s): no Kac
+    # identification, no minimal-model product and no orbit rule of the
+    # package.  Constituent 1 of the presented label (r, s) is its
+    # simple-current image, taken here as the Kac label (7-r, s)
+    def oracle(a, b, i, j):
+        (ra, sa), (rb, sb) = a, b
+        ra, rb = (7 - ra if i else ra), (7 - rb if j else rb)
+        folded = Counter((min(r, 7 - r), min(s, 10 - s))
+                         for r in _su2_fusion(ra, rb, 5) for s in _su2_fusion(sa, sb, 8))
+        return [{"r": r, "s": s, "mult": m} for (r, s), m in sorted(folded.items())]
+
+    labels = [(r, s) for r in range(1, 4) for s in range(1, 10)]
+    pairs = list(itertools.product(labels, repeat=2))
+    table = fusion_table()
+    assert [(e["a"], e["b"]) for e in table] == [([*a], [*b]) for a, b in pairs]
+    for entry, (a, b) in zip(table, pairs):
+        assert entry["result"] == oracle(a, b, 0, 0), (a, b)
+        for i, j in itertools.product((0, 1), repeat=2):
+            got = ext_fuse(ExtLabel(*a), ExtLabel(*b), i, j).to_json()
+            assert got == oracle(a, b, i, j), (a, b, i, j)
 
 
 # (class, three keys in ascending order, two keys that fold together under

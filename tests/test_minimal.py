@@ -370,13 +370,16 @@ def test_products_are_shared_per_unordered_pair(p, q):
 
 
 def test_cold_extension_table_builds_each_product_once():
-    # 27 canonical constituents, so 27 * 28 / 2 unordered pairs out of 729 entries
+    # 27 canonical constituents, so 27 * 28 / 2 unordered pairs out of 729
+    # entries; the table reads the integer fold and wraps no ExtModuleSum
     minimal._fuse.cache_clear()
+    extension._fold.cache_clear()
     extension._induced.cache_clear()
     extension.fusion_table()
     assert minimal._fuse.cache_info().misses == 378
-    assert extension._induced.cache_info().misses == 378
-    assert extension._induced.cache_info().hits == 729 - 378
+    assert extension._fold.cache_info().misses == 378
+    assert extension._fold.cache_info().hits == 729 - 378
+    assert extension._induced.cache_info().currsize == 0
 
 
 def test_module_sum_addition_and_json():
