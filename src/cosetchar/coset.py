@@ -20,19 +20,23 @@ is the osp character for the plain table, one parity part of it (along the
 sl2 x Virasoro branching) for the even/odd refinement, and the Andrews-Gordon
 product of its supercharacter for the difference of the parts.  The plain
 coefficient table of each order (six product rows, then the tensor-square
-row) is built once and cached; every check is a reader of it.  Its entries,
-column sums and comparisons are ``int``s, as ``coeff_row`` returns them.
-One sum rule compares the column sums of product rows with a target row: the
-decomposition applies it after any perturbation and the parity refinement to
-each parity.  The singular ladder reads the unperturbed decomposition report,
-taking its comparisons at the columns of its candidates.  An order that is
-not an integer raises TypeError before the cached table is read.
+row) is built once and cached; every check is a reader of it.  Its entries
+and column sums are ``int``s, as ``coeff_row`` returns them.  One sum rule
+sets the column sums of product rows against a target row: the decomposition
+applies it after any perturbation and the parity refinement to each parity.
+The singular ladder reads the unperturbed decomposition report, taking its
+target and sum at the columns of its candidates.  An order that is not an
+integer raises TypeError before the cached table is read.
 
 A ``VerificationReport`` renders itself only as JSON (``to_json_dict``,
-``dumps``); the command line builds its text and CSV forms.  Its verdict
-``passed`` is derived from its comparisons, scanned once on first read; a
-non-integral value goes to JSON in the ``N/D`` form of ``series._rat``.  A
-perturbation with a delta of 0 injects no fault and is refused.
+``dumps``); the command line builds its text and CSV forms.  It stores what
+it compares as ``checks``: each a ``(lead, lhs row, rhs row)`` triple whose
+column k sits at q^(lead + k), sharing its rows with ``rows`` where they are
+the same values.  Its verdict ``passed`` is equality of the two rows of every
+check; ``comparisons`` and ``first_mismatch`` build ``Comparison`` objects
+from the checks only when read.  A non-integral value goes to JSON in the
+``N/D`` form of ``series._rat``.  A perturbation with a delta of 0 injects no
+fault and is refused.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import index
+from functools import lru_cache
+from operator import add, index, sub
 
 from .affine import (
     OspLabel,
@@ -103,13 +107,20 @@ class VerificationReport:
     check: str
     order: int
     rows: tuple[tuple[str, tuple[int | Fraction, ...]], ...]
-    comparisons: tuple[Comparison, ...]
+    # (lead, lhs row, rhs row): column k of both rows sits at q^(lead + k)
+    checks: tuple[tuple[Fraction, tuple, tuple], ...]
     notes: tuple[str, ...] = ()
 
-    @cached_property
+    @property
     def passed(self) -> bool:
-        """True iff no comparison mismatches; derived from the comparisons, scanned once."""
-        return self.first_mismatch() is None
+        """True iff both rows of every check are equal."""
+        return all(lhs == rhs for _, lhs, rhs in self.checks)
+
+    @property
+    def comparisons(self) -> tuple[Comparison, ...]:
+        """One comparison per column of every check, in check order, built on read."""
+        return tuple(Comparison(lead + k, a, b) for lead, lhs, rhs in self.checks
+                     for k, (a, b) in enumerate(zip(lhs, rhs)))
 
     def first_mismatch(self) -> Comparison | None:
         return next((c for c in self.comparisons if not c.ok), None)
@@ -153,7 +164,7 @@ def verify_central_charge() -> VerificationReport:
             ("c[L(2,0)]", (c2,)),
             ("c[Vir(10,7)]", (cv,)),
         ),
-        comparisons=(Comparison(Fraction(0), lhs, rhs),),
+        checks=((Fraction(0), (lhs,), (rhs,)),),
     )
 
 
@@ -187,16 +198,9 @@ def _summand_series(order: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return (*products, ("ch[L(1,0)^2]", _coeff_row(ch * ch, order)))
 
 
-def _columns(lead: Fraction, order: int) -> list[Fraction]:
-    """The exponents lead + k, k = 0..order, each built from integers."""
-    num, den = lead.as_integer_ratio()
-    return [Fraction(num + k * den, den) for k in range(order + 1)]
-
-
-def _sum_rule(products, target, columns: list[Fraction]):
-    """Column sums of the product rows, and their comparisons with the target row."""
-    sums = tuple(map(sum, zip(*(coeffs for _, coeffs in products))))
-    return sums, tuple(map(Comparison, columns, target, sums))
+def _column_sums(products) -> tuple[int, ...]:
+    """The column sums of the labelled product rows."""
+    return tuple(map(sum, zip(*(coeffs for _, coeffs in products))))
 
 
 def verify_decomposition(
@@ -229,12 +233,12 @@ def verify_decomposition(
         name, coeffs = products[row]
         products[row] = (name, (*coeffs[:col], coeffs[col] + delta, *coeffs[col + 1 :]))
         notes = (f"perturbed row {row} column {col} by {delta:+d}",)
-    col_sums, comparisons = _sum_rule(products, target, _columns(BASE_EXPONENT, order))
+    col_sums = _column_sums(products)
     return VerificationReport(
         check="decomposition",
         order=order,
         rows=(*products, (target_name, target), ("column sums", col_sums)),
-        comparisons=comparisons,
+        checks=((BASE_EXPONENT, target, col_sums),),
         notes=notes,
     )
 
@@ -279,22 +283,22 @@ def verify_even_refinement(order: int = MAX_REFINEMENT_ORDER) -> VerificationRep
     sch = schs[OspLabel(1, 1)]
     diffs = _products(order, schs.__getitem__)
     diffs.append(("sch[L(1,0)]^2", _coeff_row(sch * sch, order)))
-    exponents = _columns(BASE_EXPONENT, order)
-    comparisons = [c for *products, (_, target) in tables.values()
-                   for c in _sum_rule(products, target, exponents)[1]]
+    checks = [(BASE_EXPONENT, target, _column_sums(products))
+              for *products, (_, target) in tables.values()]
     for rows in zip(*tables.values(), _summand_series(order), diffs):
-        for x, e, o, c, d in zip(exponents, *(coeffs for _, coeffs in rows)):
-            pairs = ((2 * e, c + d), (2 * o, c - d), (e + o, c))
-            comparisons += [Comparison(x, lhs, rhs) for lhs, rhs in pairs]
+        e, o, c, d = (coeffs for _, coeffs in rows)
+        checks += [(BASE_EXPONENT, tuple(map(add, e, e)), tuple(map(add, c, d))),
+                   (BASE_EXPONENT, tuple(map(add, o, o)), tuple(map(sub, c, d))),
+                   (BASE_EXPONENT, tuple(map(add, e, o)), c)]
     for lab, part in parts.items():
-        xs = _columns(lab.lead, order)
-        rows = (s.coeff_row(xs[0], order + 1) for s in (part["even"], part["odd"], schs[lab]))
-        comparisons += [Comparison(x, e - o, d) for x, e, o, d in zip(xs, *rows)]
+        lead = lab.lead
+        e, o, d = (s.coeff_row(lead, order + 1) for s in (part["even"], part["odd"], schs[lab]))
+        checks.append((lead, tuple(map(sub, e, o)), d))
     return VerificationReport(
         check="even-refinement",
         order=order,
         rows=tuple(row for table in tables.values() for row in table),
-        comparisons=tuple(comparisons),
+        checks=tuple(checks),
     )
 
 
@@ -307,14 +311,16 @@ def singular_ladder(order: int = 20) -> VerificationReport:
     A reader of the decomposition report: the two candidate weights of each
     generator label sit at Kac's levels over its Verma module
     (``affine.singular_weights``), and a candidate landing within the table
-    takes the unperturbed ``verify_decomposition(order)`` comparison at its
-    column (an extra singular vector would break the exact match there).
-    Candidates beyond the table are reported as out of range, not silently
-    passed.
+    checks the target and the column sum of the unperturbed
+    ``verify_decomposition(order)`` at its column (an extra singular vector
+    would break the exact match there).  Candidates beyond the table are
+    reported as out of range, not silently passed.  A candidate off the
+    integer lattice breaks the package's own bookkeeping and raises
+    RuntimeError.
     """
     decomposition = verify_decomposition(order)
-    order, columns = decomposition.order, decomposition.comparisons
-    rows, comparisons, notes = [], [], []
+    order, ((lead, target, sums),) = decomposition.order, decomposition.checks
+    rows, checks, notes = [], [], []
     # each multiplicity-space generator sits inside the module paired with it in
     # the decomposition, at that module's weight h_m; label (1,1) is the coset
     # algebra's own vacuum sector
@@ -325,10 +331,10 @@ def singular_ladder(order: int = 20) -> VerificationReport:
         for w in weights:
             column = h_m + w
             if column.denominator != 1:
-                raise ValueError("singular candidate off the integer lattice")
+                raise RuntimeError("singular candidate off the integer lattice")
             k = int(column)
             if k <= order:
-                comparisons.append(columns[k])
+                checks.append((lead + k, (target[k],), (sums[k],)))
             else:
                 notes.append(
                     f"V{vir_lab} candidate weight {w} sits at column {k}, beyond order {order}"
@@ -337,7 +343,7 @@ def singular_ladder(order: int = 20) -> VerificationReport:
         check="singular-ladder",
         order=order,
         rows=tuple(rows),
-        comparisons=tuple(comparisons),
+        checks=tuple(checks),
         notes=tuple(notes),
     )
 

@@ -17,10 +17,9 @@ from cosetchar.coset import (
     verify_decomposition,
     verify_even_refinement,
     _coeff_row,
-    _columns,
+    _column_sums,
     _parity_tables,
     _products,
-    _sum_rule,
     _summand_series,
 )
 from cosetchar.affine import (
@@ -161,9 +160,9 @@ def test_decomposition_along_branching_route_at_cli_cap():
     products = _products(order, lambda lab: branch_character(2, lab.r, "both", order))
     one = branch_character(1, 1, "both", order)
     target = _coeff_row(one * one, order)
-    _, comparisons = _sum_rule(products, target, _columns(BASE_EXPONENT, order))
-    assert len(comparisons) == order + 1
-    assert all(c.ok for c in comparisons)
+    sums = _column_sums(products)
+    assert len(sums) == order + 1
+    assert sums == target
     assert [*products, ("ch[L(1,0)^2]", target)] == list(_summand_series(order))
 
 
@@ -281,9 +280,9 @@ def test_parity_identities_at_cli_cap():
     order = MAX_ORDER
     tables, _ = _parity_tables(order)
     for *products, (_, target) in tables.values():
-        _, comparisons = _sum_rule(products, target, _columns(BASE_EXPONENT, order))
-        assert len(comparisons) == order + 1
-        assert all(c.ok for c in comparisons)
+        sums = _column_sums(products)
+        assert len(sums) == order + 1
+        assert sums == target
     for (_, even), (_, odd), (_, plain) in zip(*tables.values(), _summand_series(order)):
         assert len(even) == len(odd) == len(plain) == order + 1
         assert tuple(a + b for a, b in zip(even, odd)) == plain
@@ -316,6 +315,49 @@ def test_run_all_passes():
         "central-charge", "decomposition", "even-refinement", "singular-ladder",
     ]
     assert all(r.passed for r in reports)
+
+
+def test_an_off_lattice_candidate_is_an_internal_error(monkeypatch):
+    # a broken invariant of the package is not a refused input, so it must not
+    # reach the CLI's exit 2
+    monkeypatch.setattr(coset, "singular_weights", lambda model, lab: (F(1, 2), F(1)))
+    with pytest.raises(RuntimeError, match="off the integer lattice"):
+        singular_ladder(5)
+    with pytest.raises(RuntimeError):
+        main(["singular"])
+
+
+def test_report_invariants():
+    for order in range(13):
+        perturbs = [None] + [(r, c, d) for r, c in ((0, 0), (2, order // 2), (5, order))
+                             for d in (1, -1)]
+        for perturb in perturbs:
+            for report in run_all(order, perturb):
+                assert all(len(lhs) == len(rhs) for _, lhs, rhs in report.checks)
+                comparisons = report.comparisons
+                assert len(comparisons) == sum(len(lhs) for _, lhs, _ in report.checks)
+                assert report.passed == (report.first_mismatch() is None)
+                if report.check == "decomposition":
+                    rows = {row["label"]: row["coeffs"] for row in report.to_json_dict()["rows"]}
+                    target, sums = rows["ch[L(1,0)^2]"], rows["column sums"]
+                    assert comparisons == tuple(
+                        coset.Comparison(BASE_EXPONENT + k, a, b)
+                        for k, (a, b) in enumerate(zip(target, sums))
+                    )
+                    assert report.passed == (perturb is None)
+
+
+def test_reports_build_no_comparison_until_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Comparison was built")
+
+    monkeypatch.setattr(coset, "Comparison", refuse)
+    for perturb in (None, (3, 7, 1)):
+        for report in run_all(20, perturb):
+            assert report.passed == (perturb is None or report.check != "decomposition")
+            report.to_json_dict()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "all", "--order", "20"]) == 0
 
 
 def test_each_character_is_built_once_per_command(monkeypatch):
