@@ -20,13 +20,11 @@ suite checks coefficientwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import index
-from typing import Literal
 
-from .minimal import KacLabel, MinimalModel
+from .minimal import KacLabel, MinimalModel, _Record
 from .series import FracSeries, _character, _rat
 
 __all__ = [
@@ -48,20 +46,17 @@ __all__ = [
     "singular_weights",
 ]
 
-Parity = Literal["even", "odd", "both"]
 
-
-@dataclass(frozen=True)
-class OspLabel:
+class OspLabel(_Record):
     """Irreducible module M_r of affine osp(1|2) at level l; r odd, 1 <= r <= 2l+1."""
 
-    l: int
-    r: int
+    _fields = ("l", "r")
 
-    def __post_init__(self):
-        Sl2Label(self.l, 0)  # the level check
-        if index(self.r) % 2 == 0 or not 1 <= self.r <= 2 * self.l + 1:
-            raise ValueError(f"r must be odd in 1..{2 * self.l + 1}, got {self.r}")
+    def __init__(self, l: int, r: int):
+        self.__dict__.update(l=l, r=r)
+        Sl2Label(l, 0)  # the level check
+        if index(r) % 2 == 0 or not 1 <= r <= 2 * l + 1:
+            raise ValueError(f"r must be odd in 1..{2 * l + 1}, got {r}")
 
     @property
     def lead(self) -> Fraction:
@@ -69,31 +64,28 @@ class OspLabel:
         return Fraction(*_osp_lead(self))
 
 
-@dataclass(frozen=True)
-class Sl2Label:
+class Sl2Label(_Record):
     """Irreducible module L(l, i) of affine sl2 at level l; 0 <= i <= l."""
 
-    l: int
-    i: int
+    _fields = ("l", "i")
 
-    def __post_init__(self):
-        if index(self.l) < 1:
+    def __init__(self, l: int, i: int):
+        self.__dict__.update(l=l, i=i)
+        if index(l) < 1:
             raise ValueError("level must be a positive integer")
-        if not 0 <= index(self.i) <= self.l:
-            raise ValueError(f"i must lie in 0..{self.l}, got {self.i}")
+        if not 0 <= index(i) <= l:
+            raise ValueError(f"i must lie in 0..{l}, got {i}")
 
 
-@dataclass(frozen=True)
-class BranchTerm:
+class BranchTerm(_Record):
     """Summand L(l,i) (x) V_{i+1,r} of the branching of M_r; even or odd with i."""
 
-    l: int
-    i: int
-    r: int
+    _fields = ("l", "i", "r")
 
-    def __post_init__(self):
-        Sl2Label(self.l, self.i)
-        OspLabel(self.l, self.r)
+    def __init__(self, l: int, i: int, r: int):
+        self.__dict__.update(l=l, i=i, r=r)
+        Sl2Label(l, i)
+        OspLabel(l, r)
 
     @property
     def sl2(self) -> Sl2Label:
@@ -204,7 +196,8 @@ def branch_model(l: int) -> MinimalModel:
     return MinimalModel(2 * l + 3, l + 2)
 
 
-def branch_terms(l: int, r: int, parity: Parity = "both") -> list[BranchTerm]:
+def branch_terms(l: int, r: int, parity: str = "both") -> list[BranchTerm]:
+    """The summands of the branching of M_r with the given parity: "even", "odd" or "both"."""
     OspLabel(l, r)
     if parity not in ("even", "odd", "both"):
         raise ValueError(f"parity must be 'even', 'odd' or 'both', got {parity!r}")
@@ -212,8 +205,8 @@ def branch_terms(l: int, r: int, parity: Parity = "both") -> list[BranchTerm]:
     return terms if parity == "both" else [t for t in terms if t.parity == parity]
 
 
-def branch_character(l: int, r: int, parity: Parity = "both", order: int = 20) -> FracSeries:
-    """Sum of sl2 x Virasoro products over branch terms of the given parity.
+def branch_character(l: int, r: int, parity: str = "both", order: int = 20) -> FracSeries:
+    """Sum of sl2 x Virasoro products over branch terms of parity "even", "odd" or "both".
 
     With parity "both" this recomputes the full M_r character along the
     branching route, independently of osp_character's closed form.

@@ -42,7 +42,6 @@ fault and is refused.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, index, sub
@@ -57,7 +56,7 @@ from .affine import (
     singular_weights,
 )
 from .extension import MODEL
-from .minimal import KacLabel
+from .minimal import KacLabel, _Record
 from .series import FracSeries, _rat
 
 __all__ = [
@@ -91,25 +90,31 @@ COSET_DECOMPOSITION = _Pairings((
 COSET_MODEL = MODEL
 
 
-@dataclass(frozen=True)
-class Comparison:
-    exponent: Fraction
-    lhs: int | Fraction
-    rhs: int | Fraction
+class Comparison(_Record):
+    """One column of a check: the coefficients of q^exponent on its two sides."""
+
+    _fields = ("exponent", "lhs", "rhs")
+
+    def __init__(self, exponent: Fraction, lhs: int | Fraction, rhs: int | Fraction):
+        self.__dict__.update(exponent=exponent, lhs=lhs, rhs=rhs)
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    check: str
-    order: int
-    rows: tuple[tuple[str, tuple[int | Fraction, ...]], ...]
-    # (lead, lhs row, rhs row): column k of both rows sits at q^(lead + k)
-    checks: tuple[tuple[Fraction, tuple, tuple], ...]
-    notes: tuple[str, ...] = ()
+class VerificationReport(_Record):
+    """The labelled rows of one check, what it compares, and notes.
+
+    Each of ``checks`` is a (lead, lhs row, rhs row) triple: column k of both
+    rows sits at q^(lead + k).
+    """
+
+    _fields = ("check", "order", "rows", "checks", "notes")
+
+    def __init__(self, check: str, order: int, rows: tuple[tuple[str, tuple], ...],
+                 checks: tuple[tuple[Fraction, tuple, tuple], ...], notes: tuple[str, ...] = ()):
+        self.__dict__.update(check=check, order=order, rows=rows, checks=checks, notes=notes)
 
     @property
     def passed(self) -> bool:

@@ -31,18 +31,22 @@ triples, cached per unordered pair.  Two readers share it:
 
 ``fusion_entries`` builds the JSON-ready entry of a single ``--a``/``--b``
 pair through the object API of either scope.
+
+An ``ExtLabel`` is an immutable record (``minimal._Record``): equal to, and
+ordered by (r, s) against, other ``ExtLabel``s only, so it never equals the
+``KacLabel`` or the tuple with the same r and s, and its constituents are
+computed on first read and kept.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from operator import index
 
 from . import minimal
-from .minimal import KacLabel, MinimalModel, ModuleSum
+from .minimal import KacLabel, MinimalModel, ModuleSum, _Record
 
 __all__ = [
     "ExtLabel",
@@ -76,16 +80,22 @@ def simple_current_image(label: KacLabel) -> KacLabel:
     return MODEL.canon(KacLabel(7 - label.r, label.s))
 
 
-@dataclass(frozen=True, order=True)
-class ExtLabel:
-    """Extended module V(r,s) + V(7-r,s), presented with r in 1..3 and s in 1..9."""
+@total_ordering
+class ExtLabel(_Record):
+    """Extended module V(r,s) + V(7-r,s), presented with r in 1..3 and s in 1..9.
 
-    r: int
-    s: int
+    Ordered by (r, s), against other ``ExtLabel``s only.
+    """
 
-    def __post_init__(self):
-        if not (1 <= index(self.r) <= 3 and 1 <= index(self.s) <= 9):
+    _fields = ("r", "s")
+
+    def __init__(self, r: int, s: int):
+        self.__dict__.update(r=r, s=s)
+        if not (1 <= index(r) <= 3 and 1 <= index(s) <= 9):
             raise ValueError(f"{self} is not an irreducible extended label")
+
+    def __lt__(self, other):
+        return self._values < other._values if type(other) is ExtLabel else NotImplemented
 
     @cached_property
     def constituents(self) -> tuple[KacLabel, KacLabel]:

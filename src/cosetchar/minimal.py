@@ -17,34 +17,67 @@ raises TypeError before a cached character or product is read.  A product
 and a sum of two multisets hold distinct canonical labels already, so the
 trusted ``ModuleSum._from_sorted`` builds them with no re-check and no
 re-fold from a dict already in label order: a product sorts its canonical
-int pairs once, and a sum sorts its merged labels; a sum with an empty
-operand is the other operand.  The
+int pairs once, and a sum copies its left operand's mapping and sorts the
+merged labels only when the right operand brought new ones; a sum with an
+empty operand is the other operand.  The
 admissible-triple conditions (triangle inequalities, parity, and the range
 caps 2q-1 / 2p-1 on the label sums) live on in the test suite, as its
 independent reference for fusion.
+
+``KacLabel`` is a ``collections.namedtuple``, so it equals the plain tuple
+(r, s).  ``MinimalModel`` and the package's other immutable records (the
+osp(1|2) and sl2 labels, branch terms, comparisons, reports and extended
+labels) derive from the private ``_Record``: plain classes whose
+``__init__`` takes the fields by position or keyword and runs the record's
+checks, equal and hashed by type and fields, with a ``Name(field=value,
+...)`` repr.  Their methods are written out, not generated, so importing
+the package loads neither ``inspect`` nor ``typing``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import index
+from operator import attrgetter, index
 from types import MappingProxyType
-from typing import NamedTuple
 
-from .series import FracSeries, _character
+from .series import FracSeries, _character, _immutable
 
 __all__ = ["KacLabel", "MinimalModel", "ModuleSum"]
 
 
-class KacLabel(NamedTuple):
-    r: int
-    s: int
+KacLabel = namedtuple("KacLabel", "r s")
+KacLabel.__str__ = lambda self: f"({self.r},{self.s})"
 
-    def __str__(self):
-        return f"({self.r},{self.s})"
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record names its two or more fields, in order, in ``_fields``.  Its
+    ``__init__`` stores them through ``self.__dict__``, as ``__setattr__``
+    refuses, before any check; cached properties keep their values in the
+    same ``__dict__``.  Records are equal, and hash alike, when they are of
+    one type with equal fields; records of two types never compare equal.
+    The repr is ``Name(field=value, ...)``, and setting or deleting any
+    attribute raises AttributeError.
+    """
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls._fields))  # the field values, as a tuple
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__name__}({fields})"
 
 
 class ModuleSum:
@@ -85,10 +118,7 @@ class ModuleSum:
         object.__setattr__(out, "mults", MappingProxyType(mults))
         return out
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _immutable
 
     def __eq__(self, other):
         if isinstance(other, dict):
@@ -114,10 +144,11 @@ class ModuleSum:
             return self
         if not self.mults:
             return other
-        acc = dict(self.mults)
+        acc = self.mults.copy()
         for lab, m in other.mults.items():
             acc[lab] = acc.get(lab, 0) + m
-        return self._from_sorted(dict(sorted(acc.items())))
+        # labels already in self keep its ascending order; only new ones need a sort
+        return self._from_sorted(acc if len(acc) == len(self.mults) else dict(sorted(acc.items())))
 
     def to_json(self) -> list[dict]:
         return [{"r": lab.r, "s": lab.s, "mult": m} for lab, m in self]
@@ -129,16 +160,17 @@ class ModuleSum:
         return f"<{type(self).__name__} {inner or '0'}>"
 
 
-@dataclass(frozen=True)
-class MinimalModel:
-    p: int
-    q: int
+class MinimalModel(_Record):
+    """The (p, q) Virasoro minimal model: p and q distinct, coprime and at least 3."""
 
-    def __post_init__(self):
-        if self.p < 3 or self.q < 3:
-            raise ValueError(f"need p, q >= 3, got ({self.p}, {self.q})")
-        if self.p == self.q or gcd(self.p, self.q) != 1:
-            raise ValueError(f"p and q must be distinct and coprime, got ({self.p}, {self.q})")
+    _fields = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        self.__dict__.update(p=p, q=q)
+        if p < 3 or q < 3:
+            raise ValueError(f"need p, q >= 3, got ({p}, {q})")
+        if p == q or gcd(p, q) != 1:
+            raise ValueError(f"p and q must be distinct and coprime, got ({p}, {q})")
 
     # -- weights ----------------------------------------------------------
 

@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, lcm
 from operator import add, index, itemgetter, mul
-from typing import Iterable, Iterator
 
 __all__ = [
     "FracSeries",
@@ -133,6 +133,11 @@ def _spread(row, stride: int, n: int):
 _set = object.__setattr__
 
 
+def _immutable(self, name, value=None):
+    """The ``__setattr__`` and ``__delattr__`` of every immutable class of the package."""
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+
 class FracSeries:
     """Truncated series ``sum_k row[k] * q**((lowest + step*k)/den)``.
 
@@ -177,10 +182,7 @@ class FracSeries:
             row[(p - lead) // step] += c
         return cls._of(den, order, lead, step, row)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"FracSeries is immutable; cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def order_exponent(self) -> Fraction:

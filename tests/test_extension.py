@@ -467,6 +467,23 @@ def test_sum_equals_constructor_over_merged_dict(data):
     assert total == want and list(total) == list(want)
 
 
+@pytest.mark.parametrize("cls, keys, twins", MULTISETS)
+def test_sum_iterates_sorted_and_leaves_its_operands_alone(cls, keys, twins):
+    a, b, c = keys
+    cases = [
+        # no new label: the left operand's order is kept
+        (cls({a: 1, b: 2}), cls({b: 1, a: 3}), [(a, 4), (b, 3)]),
+        (cls({a: 1, b: 2, c: 1}), cls({c: 5}), [(a, 1), (b, 2), (c, 6)]),
+        # new labels below the existing ones
+        (cls({c: 1}), cls({a: 2, b: 1}), [(a, 2), (b, 1), (c, 1)]),
+        (cls({b: 1, c: 1}), cls({a: 1, c: 2}), [(a, 1), (b, 1), (c, 3)]),
+    ]
+    for left, right, want in cases:
+        before = list(left), list(right)
+        assert list(left + right) == want == sorted(want)
+        assert (list(left), list(right)) == before
+
+
 def test_constituents_computed_once_and_label_unchanged():
     for r, s in itertools.product(range(1, 4), range(1, 10)):
         fresh = ExtLabel(r, s)
